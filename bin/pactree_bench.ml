@@ -3,24 +3,26 @@
 
      pactree_bench ycsb --index pactree --mix a --threads 28 ...
      pactree_bench figure fig10 --full
-     pactree_bench crash --rounds 50 *)
+     pactree_bench crash *)
 
 open Cmdliner
+module System = Baselines.System
+
+let index_conv =
+  Arg.conv
+    ( (fun s ->
+        match System.of_string s with
+        | Some sys -> Ok sys
+        | None -> Error (`Msg ("unknown index: " ^ s))),
+      fun ppf sys -> Format.pp_print_string ppf (System.name sys) )
+
+let index_names = String.concat ", " (List.map System.name System.all)
 
 let index_arg =
-  let index_conv =
-    Arg.conv
-      ( (fun s ->
-          match Experiments.Factory.of_string s with
-          | Some sys -> Ok sys
-          | None -> Error (`Msg ("unknown index: " ^ s))),
-        fun ppf sys -> Format.pp_print_string ppf (Experiments.Factory.name sys) )
-  in
   Arg.(
     value
-    & opt index_conv Experiments.Factory.Pactree_sys
-    & info [ "index" ] ~docv:"INDEX"
-        ~doc:"Index to benchmark: pactree, pdlart, fastfair, bztree, fptree.")
+    & opt index_conv System.Pactree
+    & info [ "index" ] ~docv:"INDEX" ~doc:("Index to benchmark: " ^ index_names ^ "."))
 
 let mix_arg =
   let mix_conv =
@@ -82,21 +84,16 @@ let obs_arg =
            the bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
            to $(docv).folded).")
 
-let write_json path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Obs.Json.to_string json);
-      output_char oc '\n')
-
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
   Nvm.Machine.set_flush_elision machine elide;
   let scale = Experiments.Scale.make ~keys ~ops ~thread_counts:[] in
-  let index, service = Experiments.Factory.make machine ~string_keys ~scale sys in
+  let system =
+    System.make machine ~string_keys ~data_capacity:scale.Experiments.Scale.data_capacity
+      ~search_capacity:scale.Experiments.Scale.search_capacity sys
+  in
   let kind =
     if string_keys then Workload.Keyset.String_keys else Workload.Keyset.Int_keys
   in
@@ -104,10 +101,11 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
     Option.map (fun _ -> Obs.Recorder.create machine ~sample_interval:20e-6 ()) obs_out
   in
   let r =
-    Workload.Runner.run ~machine ~index ?service ?obs ~mix ~kind ~loaded:keys ~ops
+    Workload.Runner.run ~machine ~index:system.System.b_index
+      ?service:system.System.b_service ?obs ~mix ~kind ~loaded:keys ~ops
       ~threads ~theta ()
   in
-  Format.printf "index      : %s@." (Experiments.Factory.name sys);
+  Format.printf "index      : %s@." (System.name sys);
   Format.printf "workload   : %a, %d keys, %d ops, %d threads, theta %.2f@."
     Workload.Ycsb.pp_mix mix keys ops threads theta;
   Format.printf "throughput : %.3f Mops/s (simulated)@." (Workload.Runner.mops r);
@@ -124,7 +122,7 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
   match (obs_out, obs) with
   | Some path, Some o ->
       Format.printf "%a@." Obs.Span.pp_table o.Obs.Recorder.span;
-      write_json path (Obs.Recorder.to_json o);
+      Obs.Schema.write_file path (Obs.Recorder.to_json o);
       Obs.Span.write_collapsed o.Obs.Recorder.span (path ^ ".folded");
       Format.printf "observability dump: %s (stacks: %s.folded)@." path path
   | _ -> ()
@@ -137,52 +135,21 @@ let ycsb_cmd =
       const run_ycsb $ index_arg $ mix_arg $ keys_arg $ ops_arg $ threads_arg
       $ theta_arg $ string_keys_arg $ protocol_arg $ low_bw_arg $ elide_arg $ obs_arg)
 
-let figure_names =
-  [
-    "fig2"; "fig3"; "fig4"; "fig5"; "fig6"; "fig9"; "fig10"; "fig11"; "fig12"; "fig13";
-    "fig14"; "fig15"; "eadr"; "fh5"; "sec6_7"; "sec6_8";
-  ]
-
-let run_figure name full =
-  let scale = if full then Experiments.Scale.full else Experiments.Scale.quick in
-  let f =
-    match name with
-    | "fig2" -> Experiments.Figures.fig2
-    | "fig3" -> Experiments.Figures.fig3
-    | "fig4" -> Experiments.Figures.fig4
-    | "fig5" -> Experiments.Figures.fig5
-    | "fig6" -> Experiments.Figures.fig6
-    | "fig9" -> Experiments.Figures.fig9
-    | "fig10" -> Experiments.Figures.fig10
-    | "fig11" -> Experiments.Figures.fig11
-    | "fig12" -> Experiments.Figures.fig12
-    | "fig13" -> Experiments.Figures.fig13
-    | "fig14" -> Experiments.Figures.fig14
-    | "fig15" -> Experiments.Figures.fig15
-    | "eadr" -> Experiments.Figures.eadr
-    | "fh5" -> Experiments.Figures.fh5
-    | "sec6_7" -> Experiments.Figures.sec6_7
-    | "sec6_8" -> Experiments.Figures.sec6_8
-    | other -> Printf.ksprintf failwith "unknown figure %S" other
-  in
-  f scale
-
 let figure_cmd =
   let doc = "Regenerate one of the paper's figures (see DESIGN.md)." in
-  let name_arg =
-    Arg.(
-      required
-      & pos 0 (some (enum (List.map (fun n -> (n, n)) figure_names))) None
-      & info [] ~docv:"FIGURE")
+  let figure_arg =
+    Arg.(required & pos 0 (some (enum Experiments.Suite.all)) None & info [] ~docv:"FIGURE")
   in
   let full_arg = Arg.(value & flag & info [ "full" ] ~doc:"Paper-like scale (slow).") in
-  Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ name_arg $ full_arg)
+  let run_figure f full =
+    f (if full then Experiments.Scale.full else Experiments.Scale.quick)
+  in
+  Cmd.v (Cmd.info "figure" ~doc) Term.(const run_figure $ figure_arg $ full_arg)
 
-let run_crash rounds obs_out =
+let run_crash obs_out =
   let scale =
     { Experiments.Scale.quick with Experiments.Scale.keys = 20_000; ops = 20_000 }
   in
-  ignore rounds;
   (* Time-only recorder (no single machine spans the rounds): shows
      how much simulated time the rounds spend in the recovery phase. *)
   let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
@@ -193,23 +160,15 @@ let run_crash rounds obs_out =
   match (obs_out, span) with
   | Some path, Some s ->
       Format.printf "%a@." Obs.Span.pp_table s;
-      write_json path (Obs.Span.to_json s);
+      Obs.Schema.write_file path (Obs.Span.to_json s);
       Format.printf "observability dump: %s@." path
   | _ -> ()
 
 let crash_cmd =
   let doc = "Crash-injection recovery test (6.8)." in
-  let rounds_arg = Arg.(value & opt int 100 & info [ "rounds" ] ~doc:"Crash rounds.") in
-  Cmd.v (Cmd.info "crash" ~doc) Term.(const run_crash $ rounds_arg $ obs_arg)
+  Cmd.v (Cmd.info "crash" ~doc) Term.(const run_crash $ obs_arg)
 
 (* ---------- stats: the canonical machine-readable bench ---------- *)
-
-let stats_systems =
-  [
-    Experiments.Factory.Pactree_sys;
-    Experiments.Factory.Pdlart_sys;
-    Experiments.Factory.Fastfair_sys;
-  ]
 
 let run_stats quick sanitize out check threads =
   match check with
@@ -224,45 +183,14 @@ let run_stats quick sanitize out check threads =
         if quick then Experiments.Scale.make ~keys:20_000 ~ops:15_000 ~thread_counts:[]
         else Experiments.Scale.quick
       in
-      let mix = Workload.Ycsb.Workload_a in
-      let hazards = ref [] in
-      let entries =
-        List.map
-          (fun sys ->
-            let entry, obs =
-              Experiments.Obs_run.bench_entry ~scale ~mix ~threads ~sanitize sys
-            in
-            Format.printf "%a@." Obs.Report.pp_entry entry;
-            Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
-            if sanitize then begin
-              let name = Experiments.Factory.name sys in
-              match Pobj.Sanitizer.reports () with
-              | [] -> Format.printf "sanitizer  : clean (%s)@." name
-              | reports ->
-                  hazards := (name, Pobj.Sanitizer.total ()) :: !hazards;
-                  Format.printf "sanitizer  : %d unflushed store-lines (%s)@."
-                    (Pobj.Sanitizer.total ()) name;
-                  List.iter
-                    (fun r -> Format.printf "  %a@." Pobj.Sanitizer.pp_report r)
-                    reports
-            end;
-            entry)
-          stats_systems
-      in
-      let json =
-        Obs.Report.to_json ~keys:scale.Experiments.Scale.keys
-          ~ops:scale.Experiments.Scale.ops ~threads
-          ~mix:(Format.asprintf "%a" Workload.Ycsb.pp_mix mix)
-          ~entries
-      in
+      let json, hazards = Experiments.Obs_run.stats ~sanitize ~threads scale in
       Obs.Report.write_file out json;
-      Format.printf "wrote %s (schema %s, %d systems)@." out Obs.Report.schema_version
-        (List.length entries);
-      if !hazards <> [] then begin
+      Format.printf "wrote %s (schema %s)@." out Obs.Report.schema_version;
+      if hazards <> [] then begin
         List.iter
           (fun (name, n) ->
             Format.eprintf "persist-order sanitizer: %d hazard(s) in %s@." n name)
-          (List.rev !hazards);
+          hazards;
         exit 1
       end
 
@@ -301,15 +229,7 @@ let stats_cmd =
 
 (* ---------- crashmc: systematic crash-state model checking ---------- *)
 
-let crashmc_suts name =
-  match name with
-  | "all" -> Ok Crashmc.Sut.all
-  | s -> (
-      match Crashmc.Sut.of_string s with
-      | Some k -> Ok [ k ]
-      | None -> Error ("unknown index: " ^ s))
-
-let run_crashmc index_name ops budget max_states seed workload mutate =
+let run_crashmc kinds ops budget max_states seed workload mutate =
   let seed =
     match Des.Rng.env_seed ~default:(Int64.of_int seed) with
     | s -> Int64.to_int s
@@ -317,93 +237,74 @@ let run_crashmc index_name ops budget max_states seed workload mutate =
         prerr_endline msg;
         exit 2
   in
-  if not (List.mem workload [ "insert"; "mixed" ]) then begin
-    prerr_endline ("unknown workload: " ^ workload ^ " (expected insert or mixed)");
-    exit 2
-  end;
-  match crashmc_suts index_name with
-  | Error msg ->
-      prerr_endline msg;
-      exit 2
-  | Ok kinds ->
-      let make_ops () =
-        match workload with
-        | "insert" -> Crashmc.Harness.insert_workload ops
-        | "mixed" -> Crashmc.Harness.mixed_workload ~seed ops
-        | other -> Printf.ksprintf failwith "unknown workload %S" other
-      in
-      let failed = ref false in
-      List.iter
-        (fun kind ->
-          let sut = Crashmc.Sut.make kind in
+  let ops =
+    match workload with
+    | `Insert -> Crashmc.Harness.insert_workload ops
+    | `Mixed -> Crashmc.Harness.mixed_workload ~seed ops
+  in
+  let failed =
+    ref
+      (not
+         (Crashmc.Harness.sweep ~budget_per_point:budget ~max_states ~seed ~ops kinds))
+  in
+  (* Mutation mode: drop one clwb late in the run and demand the
+     checker notices — proof the oracle has teeth.  The persist-
+     order sanitizer rides along as a cross-check.  A mutant whose
+     dropped clwb is made redundant by a later flush of the same
+     line is harmless — neither oracle can (or should) flag it —
+     so the invariant is per-mutant containment: every mutant the
+     exhaustive checker convicts must also be flagged dynamically
+     (the lint is at least as sensitive as the oracle on
+     missing-flush bugs), and at least one injected mutant must be
+     flagged overall. *)
+  if mutate then
+    List.iter
+      (fun kind ->
+        let killed = ref 0 and tried = ref 0 in
+        let injected = ref 0 and san_caught = ref 0 in
+        let k = ref 1 in
+        while !tried < 6 do
+          incr tried;
+          let sut = Crashmc.Sut.create kind in
+          let m = sut.Crashmc.Sut.machine in
+          Nvm.Machine.set_flush_fault m (Some !k);
+          Pobj.Sanitizer.enable m;
           let r =
-            Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed ~sut
-              ~ops:(make_ops ()) ()
+            Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed
+              ~max_violations:1 ~sut ~ops ()
           in
-          Format.printf "%a@." Crashmc.Harness.pp_report r;
+          let fired = Nvm.Machine.flush_fault_fired m in
+          let flagged = fired && Pobj.Sanitizer.total () > 0 in
+          if fired then begin
+            incr injected;
+            if flagged then incr san_caught
+          end;
+          Pobj.Sanitizer.disable m;
           if not (Crashmc.Harness.ok r) then begin
-            failed := true;
-            Format.printf "  seed %d (override with PACTREE_SEED)@." seed
-          end)
-        kinds;
-      (* Mutation mode: drop one clwb late in the run and demand the
-         checker notices — proof the oracle has teeth.  The persist-
-         order sanitizer rides along as a cross-check.  A mutant whose
-         dropped clwb is made redundant by a later flush of the same
-         line is harmless — neither oracle can (or should) flag it —
-         so the invariant is per-mutant containment: every mutant the
-         exhaustive checker convicts must also be flagged dynamically
-         (the lint is at least as sensitive as the oracle on
-         missing-flush bugs), and at least one injected mutant must be
-         flagged overall. *)
-      if mutate then
-        List.iter
-          (fun kind ->
-            let killed = ref 0 and tried = ref 0 in
-            let injected = ref 0 and san_caught = ref 0 in
-            let k = ref 1 in
-            while !tried < 6 do
-              incr tried;
-              let sut = Crashmc.Sut.make kind in
-              let m = Crashmc.Sut.machine sut in
-              Nvm.Machine.set_flush_fault m (Some !k);
-              Pobj.Sanitizer.enable m;
-              let r =
-                Crashmc.Harness.run ~budget_per_point:budget ~max_states ~seed
-                  ~max_violations:1 ~sut ~ops:(make_ops ()) ()
-              in
-              let fired = Nvm.Machine.flush_fault_fired m in
-              let flagged = fired && Pobj.Sanitizer.total () > 0 in
-              if fired then begin
-                incr injected;
-                if flagged then incr san_caught
-              end;
-              Pobj.Sanitizer.disable m;
-              if not (Crashmc.Harness.ok r) then begin
-                incr killed;
-                if not flagged then begin
-                  Format.printf
-                    "  sanitizer missed a checker-convicted mutant (clwb %d) — seed %d@."
-                    !k seed;
-                  failed := true
-                end
-              end;
-              k := !k * 3
-            done;
-            Format.printf "%s mutation check: %d/%d dropped-clwb mutants caught@."
-              (Crashmc.Sut.name kind) !killed !tried;
-            Format.printf "%s sanitizer cross-check: %d/%d injected mutants flagged@."
-              (Crashmc.Sut.name kind) !san_caught !injected;
-            if !killed = 0 then begin
-              Format.printf "  no mutant caught — checker has no teeth? seed %d@." seed;
+            incr killed;
+            if not flagged then begin
+              Format.printf
+                "  sanitizer missed a checker-convicted mutant (clwb %d) — seed %d@."
+                !k seed;
               failed := true
-            end;
-            if !san_caught = 0 then begin
-              Format.printf "  sanitizer flagged no mutant at all — seed %d@." seed;
-              failed := true
-            end)
-          kinds;
-      if !failed then exit 1
+            end
+          end;
+          k := !k * 3
+        done;
+        Format.printf "%s mutation check: %d/%d dropped-clwb mutants caught@."
+          (System.name kind) !killed !tried;
+        Format.printf "%s sanitizer cross-check: %d/%d injected mutants flagged@."
+          (System.name kind) !san_caught !injected;
+        if !killed = 0 then begin
+          Format.printf "  no mutant caught — checker has no teeth? seed %d@." seed;
+          failed := true
+        end;
+        if !san_caught = 0 then begin
+          Format.printf "  sanitizer flagged no mutant at all — seed %d@." seed;
+          failed := true
+        end)
+      kinds;
+  if !failed then exit 1
 
 let crashmc_cmd =
   let doc =
@@ -412,10 +313,19 @@ let crashmc_cmd =
      linearizability."
   in
   let index_arg =
+    let kinds_conv =
+      Arg.conv
+        ( (fun s ->
+            if String.lowercase_ascii s = "all" then Ok System.all
+            else Result.map (fun k -> [ k ]) (Arg.conv_parser index_conv s)),
+          fun ppf kinds ->
+            Format.pp_print_string ppf
+              (if kinds = System.all then "all"
+               else String.concat "," (List.map System.name kinds)) )
+    in
     Arg.(
-      value & opt string "all"
-      & info [ "index" ] ~docv:"INDEX"
-          ~doc:"Index to check: pactree, pdlart, fastfair, bztree, fptree, all.")
+      value & opt kinds_conv System.all
+      & info [ "index" ] ~docv:"INDEX" ~doc:("Index to check: " ^ index_names ^ ", all."))
   in
   let ops_arg =
     Arg.(value & opt int 48 & info [ "ops" ] ~doc:"Operations in the recorded trace.")
@@ -437,7 +347,8 @@ let crashmc_cmd =
   in
   let workload_arg =
     Arg.(
-      value & opt string "mixed"
+      value
+      & opt (enum [ ("insert", `Insert); ("mixed", `Mixed) ]) `Mixed
       & info [ "workload" ] ~doc:"Trace shape: insert (split-heavy) or mixed.")
   in
   let mutate_arg =
@@ -454,10 +365,6 @@ let crashmc_cmd =
 
 (* ---------- service: sharded KV service saturation sweep ---------- *)
 
-let sweep_header =
-  Printf.sprintf "%8s %9s %7s %9s %9s %9s %9s %6s %7s" "offered" "achieved" "rej"
-    "q-p50us" "q-p99us" "s-p99us" "t-p99us" "imbal" "w/batch"
-
 let run_service sys shards quick keys ops workers queue batch batch_delay_us admission
     arrival mix theta out check obs_out =
   match check with
@@ -467,7 +374,7 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
       | Error msg ->
           Format.eprintf "%s: INVALID: %s@." path msg;
           exit 1)
-  | None ->
+  | None -> (
       let admission =
         match Svc.Engine.admission_of_string admission with
         | Ok a -> a
@@ -499,54 +406,29 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
           theta;
         }
       in
-      Format.printf "service    : %s, %d shards x %d workers, queue %d, %s admission@."
-        (Experiments.Factory.name sys) cfg.Experiments.Svc_run.shards
-        cfg.Experiments.Svc_run.workers_per_shard cfg.Experiments.Svc_run.queue_capacity
-        (Svc.Engine.admission_name admission);
-      Format.printf
-        "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f, batch %d \
-         (%.1f us delay)@."
-        (Workload.Arrival.process_name process)
-        Workload.Ycsb.pp_mix cfg.Experiments.Svc_run.mix cfg.Experiments.Svc_run.keys
-        cfg.Experiments.Svc_run.ops cfg.Experiments.Svc_run.theta
-        cfg.Experiments.Svc_run.max_batch
-        (cfg.Experiments.Svc_run.max_batch_delay *. 1e6);
       (* Time-only recorder (each sweep point runs on a fresh machine):
          attributes simulated time to the svc_queue / svc_batch phases
          across the whole sweep. *)
       let span = Option.map (fun _ -> Obs.Span.create ()) obs_out in
       Option.iter Obs.Span.install span;
-      let points =
+      let report =
         Fun.protect
           ~finally:(fun () -> Option.iter Obs.Span.uninstall span)
-          (fun () -> Experiments.Svc_run.sweep cfg)
+          (fun () -> Experiments.Svc_run.run cfg)
       in
-      print_endline sweep_header;
-      List.iter
-        (fun (_, r) ->
-          Format.printf "%a@." Obs.Svc_report.pp_point
-            (Experiments.Svc_run.point_of_result r))
-        points;
-      (match List.find_opt Experiments.Svc_run.saturated points with
-      | Some (rate, r) ->
-          Format.printf "knee       : saturates at %.3f Mops/s offered (achieves %.3f)@."
-            (rate /. 1e6)
-            (r.Svc.Engine.r_throughput /. 1e6)
-      | None -> ());
-      (match Experiments.Svc_run.check_sweep points with
-      | Ok () -> ()
+      match report with
       | Error msg ->
-          Format.eprintf "service sweep failed shape checks: %s@." msg;
-          exit 1);
-      Obs.Svc_report.write_file out (Experiments.Svc_run.report cfg points);
-      Format.printf "wrote %s (schema %s, %d points)@." out Obs.Svc_report.schema_version
-        (List.length points);
-      match (obs_out, span) with
-      | Some path, Some s ->
-          Format.printf "%a@." Obs.Span.pp_table s;
-          write_json path (Obs.Span.to_json s);
-          Format.printf "observability dump: %s@." path
-      | _ -> ()
+          Format.eprintf "service sweep %s@." msg;
+          exit 1
+      | Ok json -> (
+          Obs.Svc_report.write_file out json;
+          Format.printf "wrote %s (schema %s)@." out Obs.Svc_report.schema_version;
+          match (obs_out, span) with
+          | Some path, Some s ->
+              Format.printf "%a@." Obs.Span.pp_table s;
+              Obs.Schema.write_file path (Obs.Span.to_json s);
+              Format.printf "observability dump: %s@." path
+          | _ -> ()))
 
 let service_cmd =
   let doc =

@@ -25,8 +25,8 @@ let () =
   let store =
     Store.create ~machine ~boundaries
       ~make_backend:(fun ~shard:_ ~numa:_ ->
-        Experiments.Factory.make_backend machine ~scale
-          Experiments.Factory.Pactree_sys)
+        Baselines.System.make machine ~data_capacity:scale.Experiments.Scale.data_capacity
+          ~search_capacity:scale.Experiments.Scale.search_capacity Baselines.System.Pactree)
       ()
   in
   Printf.printf "sharded store: %d PACTree shards on %d NUMA domains\n"

@@ -11,14 +11,17 @@ let run sys mix threads =
   let scale =
     Experiments.Scale.make ~keys:scale_keys ~ops:scale_keys ~thread_counts:[]
   in
-  let index, service = Experiments.Factory.make machine ~scale sys in
-  Workload.Runner.run ~machine ~index ?service ~mix ~kind:Workload.Keyset.Int_keys
+  let system =
+    Baselines.System.make machine ~data_capacity:scale.Experiments.Scale.data_capacity
+      ~search_capacity:scale.Experiments.Scale.search_capacity sys
+  in
+  Workload.Runner.run ~machine ~index:system.Baselines.System.b_index
+    ?service:system.Baselines.System.b_service ~mix ~kind:Workload.Keyset.Int_keys
     ~loaded:scale_keys ~ops:scale_keys ~threads ()
 
 let () =
   let systems =
-    [ Experiments.Factory.Pactree_sys; Experiments.Factory.Fastfair_sys;
-      Experiments.Factory.Pdlart_sys ]
+    [ Baselines.System.Pactree; Baselines.System.Fastfair; Baselines.System.Pdlart ]
   in
   Printf.printf "YCSB demo: %d keys, %d ops, Zipfian 0.99 (simulated Mops/s)\n\n"
     scale_keys scale_keys;
@@ -30,7 +33,7 @@ let () =
         (fun sys ->
           let one = Workload.Runner.mops (run sys mix 1) in
           let many = Workload.Runner.mops (run sys mix 28) in
-          Format.printf "%10s %12.2f %12.2f@." (Experiments.Factory.name sys) one many)
+          Format.printf "%10s %12.2f %12.2f@." (Baselines.System.name sys) one many)
         systems;
       Format.printf "@.")
     [ Workload.Ycsb.Workload_c; Workload.Ycsb.Workload_a ]

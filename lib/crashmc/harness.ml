@@ -4,7 +4,7 @@ module Index = Baselines.Index_intf
 type violation = { v_at : int; v_label : string; v_msg : string }
 
 type report = {
-  sut : Sut.kind;
+  sut : string;
   ops : int;
   trace_events : int;
   stats : Enum.stats;
@@ -17,7 +17,7 @@ let ok r = r.violations = []
 let pp_report ppf r =
   Format.fprintf ppf
     "@[<v>%s: %d ops, %d trace events, %d crash points, %d states (%d dup-suppressed, %d budget-truncated), %d checked, %d violations@]"
-    (Sut.name r.sut) r.ops r.trace_events r.stats.Enum.crash_points
+    r.sut r.ops r.trace_events r.stats.Enum.crash_points
     r.stats.Enum.states r.stats.Enum.duplicates r.stats.Enum.truncated_points
     r.checked (List.length r.violations);
   List.iteri
@@ -69,13 +69,14 @@ let chunk n l =
 
 let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
     ?(seed = 1) ?(batch = 1) ?apply ~sut ~ops () =
-  let index = Sut.index sut in
+  let sys = sut.Sut.system in
+  let index = sys.Baselines.System.b_index in
   let apply =
     match apply with
     | Some f -> f
     | None -> fun chunk -> List.iter (Oracle.run_op index) chunk
   in
-  let trace = Trace.start (Sut.machine sut) in
+  let trace = Trace.start sut.Sut.machine in
   let history =
     (* Each chunk of [batch] ops shares one trace window: a crash
        inside it puts every member in flight (the oracle then allows
@@ -92,7 +93,7 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
   Trace.stop trace;
   (* Complete background work (SMO drain, epoch-deferred frees) so no
      closure from the recorded run fires while we materialise images. *)
-  Sut.quiesce sut;
+  sys.b_quiesce ();
   let checked = ref 0 in
   let violations = ref [] in
   let stats =
@@ -101,12 +102,12 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
         st.Enum.restore ();
         incr checked;
         let vs =
-          match Sut.recover sut with
+          match sys.b_recover () with
           | () ->
               Oracle.check ~history ~at:st.Enum.at
                 ~lookup:(Index.lookup index)
                 ~scan:(Index.scan index)
-                ~invariants:(fun () -> Sut.invariants sut)
+                ~invariants:sys.b_invariants
           | exception exn ->
               [ Printf.sprintf "recover raised %s" (Printexc.to_string exn) ]
         in
@@ -120,10 +121,20 @@ let run ?(budget_per_point = 48) ?(max_states = 20_000) ?(max_violations = 20)
       ()
   in
   {
-    sut = Sut.kind sut;
+    sut = sut.Sut.name;
     ops = List.length ops;
     trace_events = Trace.seq trace;
     stats;
     checked = !checked;
     violations = List.rev !violations;
   }
+
+let sweep ~budget_per_point ~max_states ~seed ~ops kinds =
+  List.map
+    (fun kind ->
+      let r = run ~budget_per_point ~max_states ~seed ~sut:(Sut.create kind) ~ops () in
+      Format.printf "%a@." pp_report r;
+      if not (ok r) then Format.printf "  seed %d (override with PACTREE_SEED)@." seed;
+      ok r)
+    kinds
+  |> List.for_all Fun.id

@@ -6,7 +6,7 @@
 type violation = { v_at : int; v_label : string; v_msg : string }
 
 type report = {
-  sut : Sut.kind;
+  sut : string;  (** the SUT's name *)
   ops : int;
   trace_events : int;
   stats : Enum.stats;
@@ -46,3 +46,14 @@ val run :
   ops:Oracle.op list ->
   unit ->
   report
+
+(** [sweep ~ops kinds] runs {!run} on a fresh {!Sut.create} of each
+    kind, printing each report (and the seed to replay on failure).
+    [true] when every kind came out clean. *)
+val sweep :
+  budget_per_point:int ->
+  max_states:int ->
+  seed:int ->
+  ops:Oracle.op list ->
+  Baselines.System.kind list ->
+  bool

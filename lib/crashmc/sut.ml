@@ -1,123 +1,15 @@
-module Machine = Nvm.Machine
-module Tree = Pactree.Tree
-module Index = Baselines.Index_intf
+module System = Baselines.System
 
-type kind = Pactree | Pdlart | Fastfair | Bztree | Fptree | Custom of string
+type t = { name : string; machine : Nvm.Machine.t; system : System.t }
 
-let all = [ Pactree; Pdlart; Fastfair; Bztree; Fptree ]
+let pool_capacity = 1 lsl 18
 
-let name = function
-  | Pactree -> "pactree"
-  | Pdlart -> "pdlart"
-  | Fastfair -> "fastfair"
-  | Bztree -> "bztree"
-  | Fptree -> "fptree"
-  | Custom s -> s
-
-let of_string = function
-  | "pactree" -> Some Pactree
-  | "pdlart" | "pdl-art" -> Some Pdlart
-  | "fastfair" -> Some Fastfair
-  | "bztree" -> Some Bztree
-  | "fptree" -> Some Fptree
-  | _ -> None
-
-type t = {
-  kind : kind;
-  machine : Machine.t;
-  index : Index.index;
-  recover : unit -> unit;
-  invariants : unit -> unit;
-  quiesce : unit -> unit;
-}
-
-let epoch_quiesce epoch =
-  (* Run leftover deferred frees now: their closures capture volatile
-     offsets from the recorded run and must not fire on a restored
-     image. *)
-  let budget = ref 8 in
-  while Pactree.Epoch.pending epoch > 0 && !budget > 0 do
-    Pactree.Epoch.try_advance epoch;
-    decr budget
-  done
-
-let custom ~name ~machine ~index ~recover ?(invariants = ignore) ?(quiesce = ignore)
-    () =
-  { kind = Custom name; machine; index; recover; invariants; quiesce }
-
-let make ?(capacity = 1 lsl 18) kind =
-  let machine = Machine.create ~numa_count:1 () in
-  match kind with
-  | Custom _ -> invalid_arg "Sut.make: use Sut.custom for custom systems"
-  | Pactree ->
-      let cfg =
-        {
-          Tree.default_config with
-          data_capacity = capacity;
-          search_capacity = capacity;
-        }
-      in
-      let t = Tree.create machine ~cfg () in
-      {
-        kind;
-        machine;
-        index = Baselines.Pactree_index.wrap t;
-        recover = (fun () -> ignore (Tree.recover t : int));
-        invariants = (fun () -> ignore (Tree.check_invariants t : int));
-        quiesce =
-          (fun () ->
-            Tree.drain_smo t;
-            epoch_quiesce (Tree.epoch t));
-      }
-  | Pdlart ->
-      let t = Baselines.Pdlart.create machine ~capacity () in
-      {
-        kind;
-        machine;
-        index = Index.Index ((module Baselines.Pdlart.Index), t);
-        recover = (fun () -> Baselines.Pdlart.recover t);
-        invariants = ignore;
-        quiesce = (fun () -> epoch_quiesce (Baselines.Pdlart.epoch t));
-      }
-  | Fastfair ->
-      let t = Baselines.Fastfair.create machine ~capacity () in
-      {
-        kind;
-        machine;
-        index = Index.Index ((module Baselines.Fastfair.Index), t);
-        recover = (fun () -> Baselines.Fastfair.recover t);
-        invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
-        quiesce = ignore;
-      }
-  | Bztree ->
-      let t = Baselines.Bztree.create machine ~capacity () in
-      {
-        kind;
-        machine;
-        index = Index.Index ((module Baselines.Bztree.Index), t);
-        recover = (fun () -> Baselines.Bztree.recover t);
-        invariants = (fun () -> ignore (Baselines.Bztree.check_invariants t : int));
-        quiesce = ignore;
-      }
-  | Fptree ->
-      let t = Baselines.Fptree.create machine ~capacity () in
-      {
-        kind;
-        machine;
-        index = Index.Index ((module Baselines.Fptree.Index), t);
-        recover = (fun () -> Baselines.Fptree.recover t);
-        invariants = (fun () -> ignore (Baselines.Fptree.check_invariants t : int));
-        quiesce = ignore;
-      }
-
-let kind t = t.kind
-
-let machine t = t.machine
-
-let index t = t.index
-
-let recover t = t.recover ()
-
-let invariants t = t.invariants ()
-
-let quiesce t = t.quiesce ()
+let create ?string_keys kind =
+  let machine = Nvm.Machine.create ~numa_count:1 () in
+  {
+    name = System.name kind;
+    machine;
+    system =
+      System.make machine ?string_keys ~data_capacity:pool_capacity
+        ~search_capacity:pool_capacity kind;
+  }

@@ -1,52 +1,16 @@
-(** Systems under test.
+(** Systems under test: a system from the registry
+    ({!Baselines.System}) together with the machine it lives on.
 
-    Bundles each index with the machine it lives on and the three
-    hooks the harness needs: [recover] (rebuild volatile state from a
-    restored image), [invariants] (the index's own structural
-    checker), and [quiesce] (run before enumeration: complete
-    background work — SMO drain, epoch-deferred frees — so no stale
-    closure from the recorded run fires on a restored image). *)
+    The harness uses the system's hooks: [b_recover] rebuilds volatile
+    state from a restored image, [b_invariants] is the index's own
+    structural checker, and [b_quiesce] runs before enumeration to
+    complete background work (SMO drain, epoch-deferred frees) so no
+    stale closure from the recorded run fires on a restored image.
+    Keep pool capacities small: every materialised crash state blits
+    the full image of every pool on [machine]. *)
 
-type kind = Pactree | Pdlart | Fastfair | Bztree | Fptree | Custom of string
+type t = { name : string; machine : Nvm.Machine.t; system : Baselines.System.t }
 
-(** The built-in index SUTs ({!Custom} systems are constructed with
-    {!custom}, not listed here). *)
-val all : kind list
-
-val name : kind -> string
-
-val of_string : string -> kind option
-
-type t
-
-(** [make kind] builds the index on a fresh single-socket machine.
-    [capacity] is bytes per persistent pool — keep it small; every
-    materialized crash state blits the full image. *)
-val make : ?capacity:int -> kind -> t
-
-(** [custom ~name ~machine ~index ~recover ()] wraps an arbitrary
-    system (e.g. a sharded {e svc} store) for the harness.  The caller
-    is responsible for keeping pool capacities small — every
-    materialised crash state blits the full image of every pool on
-    [machine]. *)
-val custom :
-  name:string ->
-  machine:Nvm.Machine.t ->
-  index:Baselines.Index_intf.index ->
-  recover:(unit -> unit) ->
-  ?invariants:(unit -> unit) ->
-  ?quiesce:(unit -> unit) ->
-  unit ->
-  t
-
-val kind : t -> kind
-
-val machine : t -> Nvm.Machine.t
-
-val index : t -> Baselines.Index_intf.index
-
-val recover : t -> unit
-
-val invariants : t -> unit
-
-val quiesce : t -> unit
+(** [create kind] builds the registry system on a fresh single-socket
+    machine with small (256 KB) pools. *)
+val create : ?string_keys:bool -> Baselines.System.kind -> t

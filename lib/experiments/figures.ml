@@ -11,6 +11,7 @@ module Ycsb = Workload.Ycsb
 module Keyset = Workload.Keyset
 module Tree = Pactree.Tree
 module Key = Pactree.Key
+module System = Baselines.System
 
 let printf = Format.printf
 
@@ -24,11 +25,14 @@ let run_one ?(protocol = Config.Snoop) ?(profile = Config.dcpmm) ?(string_keys =
      previous cell's before building the next *)
   Gc.compact ();
   let machine = Machine.create ~profile ~protocol ~numa_count:2 () in
-  let index, service = Factory.make machine ~string_keys ~scale ?cfg sys in
+  let system =
+    System.make machine ~string_keys ?cfg ~data_capacity:scale.Scale.data_capacity
+      ~search_capacity:scale.Scale.search_capacity sys
+  in
   let threads = Option.value ~default:28 threads in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
-  Runner.run ~machine ~index ?service ~mix ~kind ~loaded:scale.Scale.keys
-    ~ops:scale.Scale.ops ~threads ~theta ()
+  Runner.run ~machine ~index:system.System.b_index ?service:system.System.b_service ~mix
+    ~kind ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads ~theta ()
 
 (* ---- Figure 2: FastFair under snoop vs directory coherence ---- *)
 
@@ -39,7 +43,7 @@ let fig2 scale =
     (fun threads ->
       let m protocol =
         Runner.mops
-          (run_one ~protocol ~threads ~scale ~mix:Ycsb.Workload_a Factory.Fastfair_sys)
+          (run_one ~protocol ~threads ~scale ~mix:Ycsb.Workload_a System.Fastfair)
       in
       printf "%8d %14.2f %14.2f@." threads (m Config.Snoop) (m Config.Directory))
     scale.Scale.thread_counts
@@ -74,15 +78,15 @@ let fig4 scale =
   List.iter
     (fun (sys, string_keys) ->
       let r = run_one ~string_keys ~scale ~mix:Ycsb.Workload_c sys in
-      printf "%10s %10s %12.2f %14.3f@." (Factory.name sys)
+      printf "%10s %10s %12.2f %14.3f@." (System.name sys)
         (if string_keys then "string" else "int")
         (Runner.mops r)
         (gb (Stats.total_read_bytes r.Runner.nvm)))
     [
-      (Factory.Fastfair_sys, false);
-      (Factory.Pdlart_sys, false);
-      (Factory.Fastfair_sys, true);
-      (Factory.Pdlart_sys, true);
+      (System.Fastfair, false);
+      (System.Pdlart, false);
+      (System.Fastfair, true);
+      (System.Pdlart, true);
     ]
 
 (* ---- Figure 5: scan throughput and NVM reads ---- *)
@@ -93,9 +97,9 @@ let fig5 scale =
   List.iter
     (fun sys ->
       let r = run_one ~scale ~mix:Ycsb.Workload_e sys in
-      printf "%10s %12.2f %14.3f@." (Factory.name sys) (Runner.mops r)
+      printf "%10s %12.2f %14.3f@." (System.name sys) (Runner.mops r)
         (gb (Stats.total_read_bytes r.Runner.nvm)))
-    [ Factory.Fastfair_sys; Factory.Pdlart_sys ]
+    [ System.Fastfair; System.Pdlart ]
 
 (* ---- Figure 6: FPTree HTM aborts vs data size and threads ---- *)
 
@@ -132,13 +136,15 @@ let fig6 scale =
 
 let ycsb_sweep ~string_keys scale =
   let mixes = Ycsb.all_mixes in
-  let systems = List.filter (fun s -> (not string_keys) || Factory.supports_strings s) Factory.all in
+  let systems =
+    List.filter (fun s -> (not string_keys) || System.supports_strings s) System.all
+  in
   List.iter
     (fun mix ->
       printf "@.-- %a (%s keys, Zipfian) --@." Ycsb.pp_mix mix
         (if string_keys then "string" else "int");
       printf "%8s" "threads";
-      List.iter (fun s -> printf " %10s" (Factory.name s)) systems;
+      List.iter (fun s -> printf " %10s" (System.name s)) systems;
       printf "@.";
       List.iter
         (fun threads ->
@@ -165,7 +171,7 @@ let fig10 scale =
 let fig11 scale =
   header "Figure 11: low-bandwidth NVM machine, 32 threads, uniform (Mops/s)";
   printf "%8s" "mix";
-  List.iter (fun s -> printf " %10s" (Factory.name s)) Factory.all;
+  List.iter (fun s -> printf " %10s" (System.name s)) System.all;
   printf "@.";
   List.iter
     (fun mix ->
@@ -176,7 +182,7 @@ let fig11 scale =
             run_one ~profile:Config.dcpmm_low_bw ~threads:32 ~theta:0.0 ~scale ~mix sys
           in
           printf " %10.2f" (Runner.mops r))
-        Factory.all;
+        System.all;
       printf "@.")
     Ycsb.all_mixes
 
@@ -212,24 +218,20 @@ let fig12 scale =
       printf "%-24s" label;
       List.iter
         (fun mix ->
-          Gc.compact ();
-          let machine = Machine.create ~numa_count:2 () in
-          let index, service =
+          let r =
             match variant with
             | `Pdlart numa_pools ->
+                Gc.compact ();
+                let machine = Machine.create ~numa_count:2 () in
                 let numa_pools = if numa_pools = 0 then None else Some numa_pools in
                 let t =
                   Baselines.Pdlart.create machine ?numa_pools
                     ~capacity:scale.Scale.data_capacity ()
                 in
-                (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None)
-            | `Pactree cfg ->
-                let t = Tree.create machine ~cfg () in
-                (Baselines.Pactree_index.wrap t, Some (Factory.pactree_service t))
-          in
-          let r =
-            Runner.run ~machine ~index ?service ~mix ~kind:Keyset.String_keys
-              ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads:28 ()
+                let index = Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t) in
+                Runner.run ~machine ~index ~mix ~kind:Keyset.String_keys
+                  ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads:28 ()
+            | `Pactree cfg -> run_one ~string_keys:true ~cfg ~scale ~mix System.Pactree
           in
           printf " %8.2f" (Runner.mops r))
         Ycsb.all_mixes;
@@ -248,9 +250,9 @@ let fig13 scale =
         (fun sys ->
           let r = run_one ~threads:56 ~theta:0.0 ~scale ~mix sys in
           let p q = Workload.Latency.percentile r.Runner.latency q *. 1e6 in
-          printf "%10s %10.1f %10.1f %10.1f %10.1f@." (Factory.name sys) (p 90.0)
+          printf "%10s %10.1f %10.1f %10.1f %10.1f@." (System.name sys) (p 90.0)
             (p 99.0) (p 99.9) (p 99.99))
-        Factory.all)
+        System.all)
     [ Ycsb.Workload_a; Ycsb.Workload_b; Ycsb.Workload_c; Ycsb.Workload_e ]
 
 (* ---- Figure 14: single-threaded throughput ---- *)
@@ -261,10 +263,10 @@ let fig14 scale =
     (fun string_keys ->
       printf "@.-- %s keys --@." (if string_keys then "string" else "int");
       let systems =
-        List.filter (fun s -> (not string_keys) || Factory.supports_strings s) Factory.all
+        List.filter (fun s -> (not string_keys) || System.supports_strings s) System.all
       in
       printf "%8s" "mix";
-      List.iter (fun s -> printf " %10s" (Factory.name s)) systems;
+      List.iter (fun s -> printf " %10s" (System.name s)) systems;
       printf "@.";
       List.iter
         (fun mix ->
@@ -290,7 +292,7 @@ let fig15 scale =
       List.iter
         (fun theta ->
           let m threads =
-            Runner.mops (run_one ~threads ~theta ~scale ~mix Factory.Pactree_sys)
+            Runner.mops (run_one ~threads ~theta ~scale ~mix System.Pactree)
           in
           printf "%8.2f %12.2f %12.2f@." theta (m 28) (m 56))
         thetas)
@@ -304,7 +306,7 @@ let fig15 scale =
 let eadr scale =
   header "3.5: ADR vs eADR (persistent caches), int keys, 28 threads (Mops/s)";
   printf "%8s" "mix";
-  List.iter (fun s -> printf " %16s" (Factory.name s)) [ Factory.Pactree_sys; Factory.Fastfair_sys ];
+  List.iter (fun s -> printf " %16s" (System.name s)) [ System.Pactree; System.Fastfair ];
   printf "@.";
   List.iter
     (fun mix ->
@@ -314,7 +316,7 @@ let eadr scale =
           let adr = Runner.mops (run_one ~scale ~mix sys) in
           let e = Runner.mops (run_one ~profile:Config.dcpmm_eadr ~scale ~mix sys) in
           printf " %7.2f/%7.2f" adr e)
-        [ Factory.Pactree_sys; Factory.Fastfair_sys ];
+        [ System.Pactree; System.Fastfair ];
       printf "@.")
     [ Ycsb.Load_a; Ycsb.Workload_a; Ycsb.Workload_c ];
   printf "(each cell: ADR / eADR — persistence cost off the critical path,@.";
@@ -375,9 +377,9 @@ let sec6_7 scale =
     }
   in
   let t = Tree.create machine ~cfg () in
-  let index = Baselines.Pactree_index.wrap t in
+  let system = System.pactree t in
   ignore
-    (Runner.run ~machine ~index ~service:(Factory.pactree_service t)
+    (Runner.run ~machine ~index:system.System.b_index ?service:system.System.b_service
        ~mix:Ycsb.Workload_a ~kind:Keyset.Int_keys ~loaded:scale.Scale.keys
        ~ops:scale.Scale.ops ~threads:112 ());
   let hist = Tree.jump_histogram t in

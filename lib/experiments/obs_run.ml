@@ -1,4 +1,5 @@
 module Machine = Nvm.Machine
+module System = Baselines.System
 module Stats = Nvm.Stats
 module Runner = Workload.Runner
 module Latency = Workload.Latency
@@ -43,7 +44,10 @@ let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scal
     ~threads sys =
   Gc.compact ();
   let machine = Machine.create ~numa_count:2 () in
-  let index, service = Factory.make machine ~string_keys ~scale sys in
+  let system =
+    System.make machine ~string_keys ~data_capacity:scale.Scale.data_capacity
+      ~search_capacity:scale.Scale.search_capacity sys
+  in
   let obs = Obs.Recorder.create machine () in
   let kind = if string_keys then Keyset.String_keys else Keyset.Int_keys in
   (* Enabled before load+run so the whole lifetime is linted; the
@@ -51,7 +55,38 @@ let bench_entry ?(string_keys = false) ?(theta = 0.99) ?(sanitize = false) ~scal
      [enable] — or process exit — retires this machine's observer). *)
   if sanitize then Pobj.Sanitizer.enable machine;
   let r =
-    Runner.run ~machine ~index ?service ~obs ~mix ~kind ~loaded:scale.Scale.keys
-      ~ops:scale.Scale.ops ~threads ~theta ()
+    Runner.run ~machine ~index:system.System.b_index ?service:system.System.b_service
+      ~obs ~mix ~kind ~loaded:scale.Scale.keys ~ops:scale.Scale.ops ~threads ~theta ()
   in
-  (entry_of_result ~name:(Factory.name sys) ~keys:scale.Scale.keys r obs, obs)
+  (entry_of_result ~name:(System.name sys) ~keys:scale.Scale.keys r obs, obs)
+
+let stats ?(sanitize = false) ~threads scale =
+  let mix = Ycsb.Workload_a in
+  let hazards = ref [] in
+  let entries =
+    List.map
+      (fun sys ->
+        let entry, obs = bench_entry ~scale ~mix ~threads ~sanitize sys in
+        Format.printf "%a@." Obs.Report.pp_entry entry;
+        Format.printf "%a@." Obs.Span.pp_table obs.Obs.Recorder.span;
+        if sanitize then begin
+          let name = System.name sys in
+          match Pobj.Sanitizer.reports () with
+          | [] -> Format.printf "sanitizer  : clean (%s)@." name
+          | reports ->
+              hazards := (name, Pobj.Sanitizer.total ()) :: !hazards;
+              Format.printf "sanitizer  : %d unflushed store-lines (%s)@."
+                (Pobj.Sanitizer.total ()) name;
+              List.iter (fun r -> Format.printf "  %a@." Pobj.Sanitizer.pp_report r) reports
+        end;
+        entry)
+      [ System.Pactree; System.Pdlart; System.Fastfair ]
+  in
+  let json =
+    Obs.Report.to_json ~keys:scale.Scale.keys ~ops:scale.Scale.ops ~threads
+      ~mix:(Format.asprintf "%a" Ycsb.pp_mix mix)
+      ~entries
+  in
+  match Obs.Report.validate json with
+  | Ok () -> (json, List.rev !hazards)
+  | Error msg -> failwith ("stats: malformed bench output: " ^ msg)

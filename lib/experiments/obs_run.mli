@@ -15,9 +15,18 @@ val bench_entry :
   scale:Scale.t ->
   mix:Workload.Ycsb.mix ->
   threads:int ->
-  Factory.sys ->
+  Baselines.System.kind ->
   Obs.Report.entry * Obs.Recorder.t
 
 (** Condense an already-made run: [entry_of_result ~name ~keys r obs]. *)
 val entry_of_result :
   name:string -> keys:int -> Workload.Runner.result -> Obs.Recorder.t -> Obs.Report.entry
+
+(** The canonical instrumented bench (BENCH_pactree.json): YCSB-A on
+    PACTree, PDL-ART and FastFair at [scale].  Prints each entry and
+    its phase table, validates the report in memory (raising
+    [Failure] if it is malformed) and returns it with the persist-order
+    sanitizer's hazard count per system that had any ([sanitize]
+    only). *)
+val stats :
+  ?sanitize:bool -> threads:int -> Scale.t -> Obs.Json.t * (string * int) list

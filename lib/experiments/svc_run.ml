@@ -3,7 +3,7 @@ module Store = Svc.Store
 module Latency = Workload.Latency
 
 type cfg = {
-  sys : Factory.sys;
+  sys : Baselines.System.kind;
   shards : int;
   keys : int;
   ops : int;
@@ -53,7 +53,8 @@ let make_store cfg =
   in
   Store.create ~machine ~boundaries
     ~make_backend:(fun ~shard:_ ~numa:_ ->
-      Factory.make_backend machine ~string_keys ~scale cfg.sys)
+      Baselines.System.make machine ~string_keys ~data_capacity:scale.Scale.data_capacity
+        ~search_capacity:scale.Scale.search_capacity cfg.sys)
     ~log_entries:cfg.log_entries ()
 
 let engine_config cfg ~rate =
@@ -160,7 +161,7 @@ let check_sweep points =
 
 let report_config cfg =
   {
-    Obs.Svc_report.c_index = Factory.name cfg.sys;
+    Obs.Svc_report.c_index = Baselines.System.name cfg.sys;
     c_shards = cfg.shards;
     c_workers_per_shard = cfg.workers_per_shard;
     c_queue_capacity = cfg.queue_capacity;
@@ -217,3 +218,31 @@ let point_of_result (r : Engine.result) =
 let report cfg points =
   Obs.Svc_report.to_json (report_config cfg)
     (List.map (fun (_, r) -> point_of_result r) points)
+
+let run cfg =
+  Format.printf "service    : %s, %d shards x %d workers, queue %d, %s admission@."
+    (Baselines.System.name cfg.sys) cfg.shards cfg.workers_per_shard cfg.queue_capacity
+    (Engine.admission_name cfg.admission);
+  Format.printf
+    "load       : %s arrivals, %a mix, %d keys, %d ops/point, theta %.2f, batch %d (%.1f \
+     us delay)@."
+    (Workload.Arrival.process_name cfg.process)
+    Workload.Ycsb.pp_mix cfg.mix cfg.keys cfg.ops cfg.theta cfg.max_batch
+    (cfg.max_batch_delay *. 1e6);
+  let points = sweep cfg in
+  Format.printf "%8s %9s %7s %9s %9s %9s %9s %6s %7s@." "offered" "achieved" "rej" "q-p50us"
+    "q-p99us" "s-p99us" "t-p99us" "imbal" "w/batch";
+  List.iter (fun (_, r) -> Format.printf "%a@." Obs.Svc_report.pp_point (point_of_result r)) points;
+  (match List.find_opt saturated points with
+  | Some (rate, r) ->
+      Format.printf "knee       : saturates at %.3f Mops/s offered (achieves %.3f)@."
+        (rate /. 1e6)
+        (r.Engine.r_throughput /. 1e6)
+  | None -> ());
+  match check_sweep points with
+  | Error msg -> Error ("failed shape checks: " ^ msg)
+  | Ok () -> (
+      let json = report cfg points in
+      match Obs.Svc_report.validate json with
+      | Ok () -> Ok json
+      | Error msg -> Error ("malformed report: " ^ msg))

@@ -6,7 +6,7 @@
     so points are independent and the whole sweep is deterministic. *)
 
 type cfg = {
-  sys : Factory.sys;
+  sys : Baselines.System.kind;
   shards : int;
   keys : int;  (** preloaded keys *)
   ops : int;  (** requests per sweep point *)
@@ -27,7 +27,7 @@ type cfg = {
 (** Defaults: 4 shards, 40K keys / 20K ops per point ([quick]: 2
     shards, 8K / 6K), 2 workers/shard, queue 64, Reject, Poisson,
     batch 8 / 2 us delay, A-mix, int keys, theta 0.99, 2 sockets. *)
-val default : ?quick:bool -> Factory.sys -> cfg
+val default : ?quick:bool -> Baselines.System.kind -> cfg
 
 (** Fresh machine + sharded store for [cfg] (boundaries cut from the
     loaded keyset, per-shard capacities scaled to [keys / shards]). *)
@@ -66,3 +66,8 @@ val report_config : cfg -> Obs.Svc_report.config
 val point_of_result : Svc.Engine.result -> Obs.Svc_report.point
 
 val report : cfg -> (float * Svc.Engine.result) list -> Obs.Json.t
+
+(** Print the configuration, {!sweep}, print the sweep table and its
+    knee, then {!check_sweep} and schema-validate the report.  Returns
+    the report, or why the sweep failed. *)
+val run : cfg -> (Obs.Json.t, string) result

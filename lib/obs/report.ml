@@ -75,23 +75,7 @@ let to_json ~keys ~ops ~threads ~mix ~entries =
 
 (* ---------- validation ---------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require_number ctx key obj =
-  match Option.bind (Json.member key obj) Json.to_number with
-  | Some f when Float.is_finite f -> Ok f
-  | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
-  | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
-
-let require_string ctx key obj =
-  match Json.member key obj with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
-
-let require_obj ctx key obj =
-  match Json.member key obj with
-  | Some (Json.Obj _ as o) -> Ok o
-  | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
+open Schema
 
 let phase_names = List.map Span.phase_name Span.all_phases
 
@@ -148,48 +132,18 @@ let validate_entry i e =
   else Ok ()
 
 let validate json =
-  let* schema = require_string "top-level" "schema" json in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
+  let* () = check_version schema_version json in
   let* scale = require_obj "top-level" "scale" json in
   let* _ = require_number "scale" "keys" scale in
   let* _ = require_number "scale" "ops" scale in
   let* _ = require_number "scale" "threads" scale in
   let* _ = require_string "scale" "mix" scale in
-  match Json.member "results" json with
-  | Some (Json.List []) -> Error "results: empty"
-  | Some (Json.List entries) ->
-      let rec go i = function
-        | [] -> Ok ()
-        | e :: rest ->
-            let* () = validate_entry i e in
-            go (i + 1) rest
-      in
-      go 0 entries
-  | _ -> Error "missing results array"
+  let* entries = require_list "results" json in
+  fold_indexed (fun i () e -> validate_entry i e) () entries
 
-let validate_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
-  in
-  let* json = Json.of_string content in
-  validate json
+let validate_file = Schema.validate_file validate
 
-let write_file path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n');
-  match validate_file path with
-  | Ok () -> ()
-  | Error msg -> failwith (Printf.sprintf "Report.write_file %s: %s" path msg)
+let write_file = Schema.write_file ~validate
 
 let pp_entry ppf e =
   Format.fprintf ppf

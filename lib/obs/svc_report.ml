@@ -102,23 +102,7 @@ let to_json c points =
 
 (* ---------- validation ---------- *)
 
-let ( let* ) r f = match r with Ok v -> f v | Error _ as e -> e
-
-let require_number ctx key obj =
-  match Option.bind (Json.member key obj) Json.to_number with
-  | Some f when Float.is_finite f -> Ok f
-  | Some _ -> Error (Printf.sprintf "%s: %S is not finite" ctx key)
-  | None -> Error (Printf.sprintf "%s: missing numeric field %S" ctx key)
-
-let require_string ctx key obj =
-  match Json.member key obj with
-  | Some (Json.String s) -> Ok s
-  | _ -> Error (Printf.sprintf "%s: missing string field %S" ctx key)
-
-let require_obj ctx key obj =
-  match Json.member key obj with
-  | Some (Json.Obj _ as o) -> Ok o
-  | _ -> Error (Printf.sprintf "%s: missing object field %S" ctx key)
+open Schema
 
 let validate_lat ctx key obj =
   let* l = require_obj ctx key obj in
@@ -179,11 +163,7 @@ let validate_point shards i p =
   else Ok offered
 
 let validate json =
-  let* schema = require_string "top-level" "schema" json in
-  let* () =
-    if schema = schema_version then Ok ()
-    else Error (Printf.sprintf "schema %S, expected %S" schema schema_version)
-  in
+  let* () = check_version schema_version json in
   let* service = require_obj "top-level" "service" json in
   let* _ = require_string "service" "index" service in
   let* shards = require_number "service" "shards" service in
@@ -198,44 +178,21 @@ let validate json =
   let* _ = require_string "service" "mix" service in
   let* _ = require_number "service" "theta" service in
   let* _ = require_number "service" "numa" service in
-  match Json.member "sweep" json with
-  | Some (Json.List []) -> Error "sweep: empty"
-  | Some (Json.List points) ->
-      let rec go i last = function
-        | [] -> Ok ()
-        | p :: rest ->
-            let* offered = validate_point (int_of_float shards) i p in
-            let* () =
-              if offered <= last then
-                Error
-                  (Printf.sprintf "sweep[%d]: offered loads not strictly increasing" i)
-              else Ok ()
-            in
-            go (i + 1) offered rest
-      in
-      go 0 neg_infinity points
-  | _ -> Error "missing sweep array"
-
-let validate_file path =
-  let ic = open_in_bin path in
-  let content =
-    Fun.protect
-      ~finally:(fun () -> close_in ic)
-      (fun () -> really_input_string ic (in_channel_length ic))
+  let* points = require_list "sweep" json in
+  let* _ =
+    fold_indexed
+      (fun i last p ->
+        let* offered = validate_point (int_of_float shards) i p in
+        if offered <= last then
+          Error (Printf.sprintf "sweep[%d]: offered loads not strictly increasing" i)
+        else Ok offered)
+      neg_infinity points
   in
-  let* json = Json.of_string content in
-  validate json
+  Ok ()
 
-let write_file path json =
-  let oc = open_out path in
-  Fun.protect
-    ~finally:(fun () -> close_out oc)
-    (fun () ->
-      output_string oc (Json.to_string json);
-      output_char oc '\n');
-  match validate_file path with
-  | Ok () -> ()
-  | Error msg -> failwith (Printf.sprintf "Svc_report.write_file %s: %s" path msg)
+let validate_file = Schema.validate_file validate
+
+let write_file = Schema.write_file ~validate
 
 let pp_point ppf p =
   Format.fprintf ppf

@@ -35,7 +35,8 @@
     checkpointed with its own fence first (amortised over
     [log_entries / batch] batches). *)
 
-type backend = {
+(** One shard's system, as built by {!Baselines.System.make}. *)
+type backend = Baselines.System.t = {
   b_index : Baselines.Index_intf.index;
   b_recover : unit -> unit;  (** post-crash recovery of this shard's index *)
   b_invariants : unit -> unit;  (** raises on structural corruption *)

@@ -10,7 +10,7 @@ type result = {
   nvm : Nvm.Stats.t;
 }
 
-type service = { body : unit -> unit; shutdown : unit -> unit }
+type service = Baselines.System.service = { body : unit -> unit; shutdown : unit -> unit }
 
 let apply_op index op =
   match op with

@@ -376,6 +376,31 @@ let test_pdlart_crash_recovery () =
     if Baselines.Pdlart.lookup t (ik i) = None then Alcotest.failf "key %d lost" i
   done
 
+(* ---------- the system registry ---------- *)
+
+let test_system_of_string () =
+  let kind = Alcotest.testable (Fmt.of_to_string Baselines.System.name) ( = ) in
+  List.iter
+    (fun k ->
+      let n = Baselines.System.name k in
+      Alcotest.(check (option kind)) n (Some k) (Baselines.System.of_string n);
+      Alcotest.(check (option kind))
+        (String.lowercase_ascii n) (Some k)
+        (Baselines.System.of_string (String.lowercase_ascii n)))
+    Baselines.System.all;
+  List.iter
+    (fun (s, k) -> Alcotest.(check (option kind)) s (Some k) (Baselines.System.of_string s))
+    Baselines.System.
+      [
+        ("pactree", Pactree);
+        ("pdlart", Pdlart);
+        ("pdl-art", Pdlart);
+        ("fastfair", Fastfair);
+        ("bztree", Bztree);
+        ("fptree", Fptree);
+      ];
+  Alcotest.(check (option kind)) "unknown" None (Baselines.System.of_string "btree")
+
 let suite =
   [
     Alcotest.test_case "fastfair: generic" `Quick test_fastfair_generic;
@@ -403,4 +428,6 @@ let suite =
     Alcotest.test_case "pdlart: model agreement" `Quick test_pdlart_model;
     Alcotest.test_case "pdlart: allocation heavy (GA3)" `Quick test_pdlart_alloc_heavy;
     Alcotest.test_case "pdlart: crash recovery" `Quick test_pdlart_crash_recovery;
+    Alcotest.test_case "system: of_string accepts printed names" `Quick
+      test_system_of_string;
   ]

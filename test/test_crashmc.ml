@@ -5,13 +5,14 @@
 
 module Harness = Crashmc.Harness
 module Sut = Crashmc.Sut
+module System = Baselines.System
 module Oracle = Crashmc.Oracle
 module Key = Pactree.Key
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
-let check_clean kind ~ops ~budget ~max_states =
-  let sut = Sut.make kind in
+let check_clean ?string_keys kind ~ops ~budget ~max_states =
+  let sut = Sut.create ?string_keys kind in
   let r =
     Harness.run ~budget_per_point:budget ~max_states ~seed:(seed ()) ~sut ~ops ()
   in
@@ -26,7 +27,24 @@ let test_mixed () =
       check_clean kind
         ~ops:(Harness.mixed_workload ~seed:(seed ()) 32)
         ~budget:24 ~max_states:4_000)
-    Sut.all
+    System.all
+
+(* The same mixed trace over 23-byte string keys, built with the
+   string-key layouts: PACTree's 32-byte inline keys, the B+-trees'
+   out-of-node key records (Baselines.Krep) and PDL-ART's longer radix
+   paths.  FPTree has no string-key variant. *)
+let test_mixed_string_keys () =
+  let key k = Workload.Keyset.key Workload.Keyset.String_keys (Key.to_int k) in
+  let ops =
+    List.map
+      (function
+        | Oracle.Insert (k, v) -> Oracle.Insert (key k, v)
+        | Oracle.Delete k -> Oracle.Delete (key k))
+      (Harness.mixed_workload ~seed:(seed ()) 32)
+  in
+  List.iter
+    (fun kind -> check_clean ~string_keys:true kind ~ops ~budget:24 ~max_states:4_000)
+    (List.filter System.supports_strings System.all)
 
 (* Split-heavy monotone inserts: exercises FastFair node splits,
    FPTree leaf splits + micro-log, PACTree data-node SMOs. *)
@@ -35,7 +53,7 @@ let test_splits () =
     (fun kind ->
       check_clean kind ~ops:(Harness.insert_workload 72) ~budget:16
         ~max_states:4_000)
-    [ Sut.Pactree; Sut.Fastfair; Sut.Fptree ]
+    [ System.Pactree; System.Fastfair; System.Fptree ]
 
 (* Teeth: injecting a dropped clwb into the recorded run must produce
    at least one durable-linearizability violation across a small
@@ -46,8 +64,8 @@ let test_mutation_teeth kind () =
   List.iter
     (fun k ->
       if !killed = 0 then begin
-        let sut = Sut.make kind in
-        Nvm.Machine.set_flush_fault (Sut.machine sut) (Some k);
+        let sut = Sut.create kind in
+        Nvm.Machine.set_flush_fault sut.Sut.machine (Some k);
         let r =
           Harness.run ~budget_per_point:24 ~max_states:4_000 ~max_violations:1
             ~seed:(seed ()) ~sut
@@ -59,7 +77,7 @@ let test_mutation_teeth kind () =
     [ 1; 3; 9; 27; 81; 243 ];
   if !killed = 0 then
     Alcotest.failf "no dropped-clwb mutant caught on %s — checker has no teeth (seed %d)"
-      (Sut.name kind) (seed ())
+      (System.name kind) (seed ())
 
 (* The in-flight window accepts exactly the in-order prefixes of the
    interrupted batch, jointly across keys: a state where a later batch
@@ -110,9 +128,10 @@ let suite =
     Alcotest.test_case "oracle: joint in-order-prefix check" `Quick
       test_oracle_prefix_only;
     Alcotest.test_case "mixed trace, all indexes" `Quick test_mixed;
+    Alcotest.test_case "mixed trace, string keys" `Quick test_mixed_string_keys;
     Alcotest.test_case "split-heavy trace" `Quick test_splits;
     Alcotest.test_case "mutation teeth (fastfair)" `Quick
-      (test_mutation_teeth Sut.Fastfair);
+      (test_mutation_teeth System.Fastfair);
     Alcotest.test_case "mutation teeth (pactree)" `Quick
-      (test_mutation_teeth Sut.Pactree);
+      (test_mutation_teeth System.Pactree);
   ]

@@ -33,18 +33,13 @@ let test_eadr_faster_writes () =
      (persistence off the critical path), §3.5's first claim. *)
   let tput profile =
     let machine = Machine.create ~profile ~numa_count:2 () in
-    let cfg =
-      {
-        Tree.default_config with
-        Tree.data_capacity = 1 lsl 23;
-        search_capacity = 1 lsl 22;
-      }
+    let s =
+      Baselines.System.make machine ~data_capacity:(1 lsl 23)
+        ~search_capacity:(1 lsl 22) Baselines.System.Pactree
     in
-    let t = Tree.create machine ~cfg () in
-    let index = Baselines.Pactree_index.wrap t in
-    let service = Experiments.Factory.pactree_service t in
     let r =
-      Workload.Runner.run ~machine ~index ~service ~mix:Workload.Ycsb.Load_a
+      Workload.Runner.run ~machine ~index:s.Baselines.System.b_index
+        ?service:s.Baselines.System.b_service ~mix:Workload.Ycsb.Load_a
         ~kind:Workload.Keyset.Int_keys ~loaded:0 ~ops:8_000 ~threads:8 ()
     in
     r.Workload.Runner.throughput

@@ -253,13 +253,94 @@ let test_report_rejects_malformed () =
   expect_error "negative per-op cost"
     (sample_report [ { sample_entry with Report.e_flushes_per_op = -1.0 } ])
 
+(* ---------- the service report schema ---------- *)
+
+let svc_lat =
+  {
+    Obs.Svc_report.l_p50_us = 1.0;
+    l_p99_us = 2.0;
+    l_p9999_us = 3.0;
+    l_mean_us = 1.2;
+    l_max_us = 4.0;
+  }
+
+let svc_point offered =
+  {
+    Obs.Svc_report.p_offered_mops = offered;
+    p_achieved_mops = offered;
+    p_generated = 100;
+    p_completed = 100;
+    p_rejected = 0;
+    p_rejection_rate = 0.0;
+    p_queue = svc_lat;
+    p_service = svc_lat;
+    p_total = svc_lat;
+    p_shard_completed = [ 50; 50 ];
+    p_imbalance = 1.0;
+    p_batches = 10;
+    p_writes_per_batch = 5.0;
+    p_fences_per_op = 0.1;
+    p_flushes_per_op = 1.0;
+  }
+
+let svc_config =
+  {
+    Obs.Svc_report.c_index = "PACTree";
+    c_shards = 2;
+    c_workers_per_shard = 2;
+    c_queue_capacity = 64;
+    c_admission = "reject";
+    c_arrival = "poisson";
+    c_max_batch = 8;
+    c_max_batch_delay_us = 2.0;
+    c_keys = 1000;
+    c_ops = 100;
+    c_mix = "W-A";
+    c_theta = 0.99;
+    c_numa = 2;
+  }
+
+let test_svc_report_rejects_malformed () =
+  let report points = Obs.Svc_report.to_json svc_config points in
+  (match Obs.Svc_report.validate (report [ svc_point 0.5; svc_point 1.0 ]) with
+  | Ok () -> ()
+  | Error msg -> Alcotest.failf "valid service report rejected: %s" msg);
+  (* each input must be rejected for its own reason: [what] occurs in
+     the error message *)
+  let expect_error what json =
+    match Obs.Svc_report.validate json with
+    | Ok () -> Alcotest.failf "%s accepted" what
+    | Error msg ->
+        let n = String.length what in
+        let rec mem i = i + n <= String.length msg && (String.sub msg i n = what || mem (i + 1)) in
+        if not (mem 0) then Alcotest.failf "%s: rejected for another reason: %s" what msg
+  in
+  expect_error "sweep: empty" (report []);
+  expect_error "expected \"pactree-svc/v1\""
+    (match report [ svc_point 1.0 ] with
+    | Json.Obj fields ->
+        Json.Obj
+          (List.map
+             (fun (k, v) -> if k = "schema" then (k, Json.String "pactree-svc/v0") else (k, v))
+             fields)
+    | _ -> Alcotest.fail "report is not an object");
+  expect_error "not strictly increasing"
+    (report [ svc_point 1.0; svc_point 1.0 ]);
+  expect_error "shard_completed has 1 entries, expected 2"
+    (report [ { (svc_point 1.0) with Obs.Svc_report.p_shard_completed = [ 100 ] } ]);
+  expect_error "total_latency_us: percentiles not monotone"
+    (report
+       [ { (svc_point 1.0) with Obs.Svc_report.p_total = { svc_lat with l_p99_us = 0.5 } } ]);
+  expect_error "completed + rejected > generated"
+    (report [ { (svc_point 1.0) with Obs.Svc_report.p_rejected = 10 } ])
+
 (* ---------- end to end: a PACTree run has phases ---------- *)
 
 let test_pactree_run_attributes_phases () =
   let scale = Experiments.Scale.tiny in
   let entry, obs =
     Experiments.Obs_run.bench_entry ~scale ~mix:Workload.Ycsb.Load_a ~threads:4
-      Experiments.Factory.Pactree_sys
+      Baselines.System.Pactree
   in
   let pct name = List.assoc name entry.Report.e_phase_pct in
   Alcotest.(check bool) "trie_search time nonzero" true (pct "trie_search" > 0.0);
@@ -324,6 +405,8 @@ let suite =
     Alcotest.test_case "sampler time series" `Quick test_sampler_series;
     Alcotest.test_case "report schema validates" `Quick test_report_validates;
     Alcotest.test_case "report rejects malformed" `Quick test_report_rejects_malformed;
+    Alcotest.test_case "svc report rejects malformed" `Quick
+      test_svc_report_rejects_malformed;
     Alcotest.test_case "pactree run attributes phases" `Quick
       test_pactree_run_attributes_phases;
     Alcotest.test_case "latency accessors" `Quick test_latency_accessors;

@@ -9,22 +9,13 @@
 module Key = Pactree.Key
 module Store = Svc.Store
 module Engine = Svc.Engine
-module Index = Baselines.Index_intf
 module Kmap = Map.Make (struct
   type t = Key.t
 
   let compare = Key.compare
 end)
 
-let fastfair_backend machine ~capacity () : Store.backend =
-  let t = Baselines.Fastfair.create machine ~capacity () in
-  {
-    Store.b_index = Index.Index ((module Baselines.Fastfair.Index), t);
-    b_recover = (fun () -> Baselines.Fastfair.recover t);
-    b_invariants = (fun () -> ignore (Baselines.Fastfair.check_invariants t : int));
-    b_quiesce = ignore;
-    b_service = None;
-  }
+module System = Baselines.System
 
 (* [span]-keyspace store with equi-spaced boundaries. *)
 let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) ?(log_entries = 64)
@@ -34,7 +25,8 @@ let make_store ?(numa = 2) ?(shards = 3) ?(span = 1000) ?(log_entries = 64)
     Array.init (shards - 1) (fun i -> Key.of_int ((i + 1) * span / shards))
   in
   Store.create ~machine ~boundaries
-    ~make_backend:(fun ~shard:_ ~numa:_ -> fastfair_backend machine ~capacity ())
+    ~make_backend:(fun ~shard:_ ~numa:_ ->
+      System.make machine ~data_capacity:capacity ~search_capacity:capacity System.Fastfair)
     ~log_entries ()
 
 (* ---------- routing + direct ops vs a map oracle ---------- *)
@@ -218,8 +210,12 @@ let check_latency_eq what l1 l2 =
 let runner_once sys =
   let machine = Nvm.Machine.create ~numa_count:2 () in
   let scale = Experiments.Scale.make ~keys:2_000 ~ops:1_500 ~thread_counts:[] in
-  let index, service = Experiments.Factory.make machine ~scale sys in
-  Workload.Runner.run ~machine ~index ?service ~mix:Workload.Ycsb.Workload_a
+  let s =
+    System.make machine ~data_capacity:scale.Experiments.Scale.data_capacity
+      ~search_capacity:scale.Experiments.Scale.search_capacity sys
+  in
+  Workload.Runner.run ~machine ~index:s.System.b_index ?service:s.System.b_service
+    ~mix:Workload.Ycsb.Workload_a
     ~kind:Workload.Keyset.Int_keys ~loaded:2_000 ~ops:1_500 ~threads:4 ()
 
 let test_runner_deterministic sys () =
@@ -259,7 +255,7 @@ let test_engine_deterministic sys () =
 (* ---------- closed loop + saturation sweep shape ---------- *)
 
 let test_closed_loop () =
-  let cfg = svc_cfg Experiments.Factory.Fastfair_sys in
+  let cfg = svc_cfg System.Fastfair in
   let store = Experiments.Svc_run.make_store cfg in
   let start =
     Engine.load ~store ~kind:cfg.Experiments.Svc_run.kind
@@ -279,7 +275,7 @@ let test_closed_loop () =
   Alcotest.(check bool) "made progress" true (r.Engine.r_throughput > 0.0)
 
 let test_sweep_shape () =
-  let cfg = svc_cfg Experiments.Factory.Fastfair_sys in
+  let cfg = svc_cfg System.Fastfair in
   let points = Experiments.Svc_run.sweep cfg in
   (match Experiments.Svc_run.check_sweep points with
   | Ok () -> ()
@@ -295,12 +291,18 @@ let crashmc_store () =
   make_store ~numa:1 ~shards:2 ~span:1000 ~log_entries:16 ~capacity:(1 lsl 18) ()
 
 let crashmc_sut store =
-  Crashmc.Sut.custom ~name:"svc-store[fastfair x2]" ~machine:(Store.machine store)
-    ~index:(Store.as_index store)
-    ~recover:(fun () -> Store.recover store)
-    ~invariants:(fun () -> Store.invariants store)
-    ~quiesce:(fun () -> Store.quiesce store)
-    ()
+  {
+    Crashmc.Sut.name = "svc-store[fastfair x2]";
+    machine = Store.machine store;
+    system =
+      {
+        System.b_index = Store.as_index store;
+        b_recover = (fun () -> Store.recover store);
+        b_invariants = (fun () -> Store.invariants store);
+        b_quiesce = (fun () -> Store.quiesce store);
+        b_service = None;
+      };
+  }
 
 let seed () = Int64.to_int (Des.Rng.env_seed ~default:1L)
 
@@ -438,13 +440,13 @@ let suite =
     Alcotest.test_case "store: group commit reduces fences" `Quick
       test_group_commit_fewer_fences;
     Alcotest.test_case "runner: deterministic (pactree)" `Quick
-      (test_runner_deterministic Experiments.Factory.Pactree_sys);
+      (test_runner_deterministic System.Pactree);
     Alcotest.test_case "runner: deterministic (fastfair)" `Quick
-      (test_runner_deterministic Experiments.Factory.Fastfair_sys);
+      (test_runner_deterministic System.Fastfair);
     Alcotest.test_case "engine: deterministic (pactree)" `Quick
-      (test_engine_deterministic Experiments.Factory.Pactree_sys);
+      (test_engine_deterministic System.Pactree);
     Alcotest.test_case "engine: deterministic (fastfair)" `Quick
-      (test_engine_deterministic Experiments.Factory.Fastfair_sys);
+      (test_engine_deterministic System.Fastfair);
     Alcotest.test_case "engine: closed loop completes everything" `Quick
       test_closed_loop;
     Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;

@@ -126,33 +126,22 @@ let test_ycsb_fresh_keys_disjoint () =
 
 (* ---------- end-to-end runner smoke tests ---------- *)
 
-let small_tree machine =
-  let cfg =
-    {
-      Pactree.Tree.default_config with
-      data_capacity = 1 lsl 23;
-      search_capacity = 1 lsl 22;
-    }
-  in
-  Pactree.Tree.create machine ~cfg ()
+let small_system machine kind =
+  Baselines.System.make machine ~data_capacity:(1 lsl 23) ~search_capacity:(1 lsl 22) kind
 
-let pactree_service t =
-  {
-    Workload.Runner.body =
-      (fun () ->
-        Pactree.Tree.reset_shutdown t;
-        Pactree.Tree.updater_loop t);
-    shutdown = (fun () -> Pactree.Tree.request_shutdown t);
-  }
+let run_system ?(kind = Baselines.System.Pactree) ~mix ~loaded ~ops ~threads () =
+  let machine = Nvm.Machine.create ~numa_count:2 () in
+  let s = small_system machine kind in
+  let r =
+    Workload.Runner.run ~machine ~index:s.Baselines.System.b_index
+      ?service:s.Baselines.System.b_service ~mix ~kind:Workload.Keyset.Int_keys ~loaded
+      ~ops ~threads ()
+  in
+  (s, r)
 
 let test_runner_pactree_ycsb_a () =
-  let machine = Nvm.Machine.create ~numa_count:2 () in
-  let t = small_tree machine in
-  let index = Baselines.Pactree_index.wrap t in
-  let r =
-    Workload.Runner.run ~machine ~index ~service:(pactree_service t)
-      ~mix:Workload.Ycsb.Workload_a ~kind:Workload.Keyset.Int_keys ~loaded:5_000
-      ~ops:5_000 ~threads:8 ()
+  let s, r =
+    run_system ~mix:Workload.Ycsb.Workload_a ~loaded:5_000 ~ops:5_000 ~threads:8 ()
   in
   Alcotest.(check bool) "positive throughput" true (r.Workload.Runner.throughput > 0.0);
   Alcotest.(check bool) "simulated time advanced" true (r.Workload.Runner.elapsed > 0.0);
@@ -160,50 +149,27 @@ let test_runner_pactree_ycsb_a () =
   Alcotest.(check bool) "nvm traffic recorded" true
     (Nvm.Stats.total_read_bytes r.Workload.Runner.nvm > 0);
   (* the index is intact afterwards *)
-  Pactree.Tree.reset_shutdown t;
-  Pactree.Tree.drain_smo t;
-  ignore (Pactree.Tree.check_invariants t)
+  s.Baselines.System.b_quiesce ();
+  s.Baselines.System.b_invariants ()
 
 let test_runner_all_indexes_agree_on_c () =
   (* All five indexes, loaded identically, must return identical
      counters for a read-only workload (they index the same data). *)
-  let loaded = 2_000 and ops = 1_000 in
-  let run_index make =
-    let machine = Nvm.Machine.create ~numa_count:2 () in
-    let index, service = make machine in
-    let r =
-      Workload.Runner.run ~machine ~index ?service ~mix:Workload.Ycsb.Workload_c
-        ~kind:Workload.Keyset.Int_keys ~loaded ~ops ~threads:4 ()
-    in
-    Alcotest.(check bool) "ran" true (r.Workload.Runner.throughput > 0.0)
-  in
-  run_index (fun m ->
-      let t = small_tree m in
-      (Baselines.Pactree_index.wrap t, Some (pactree_service t)));
-  run_index (fun m ->
-      let t = Baselines.Fastfair.create m ~capacity:(1 lsl 23) () in
-      (Baselines.Index_intf.Index ((module Baselines.Fastfair.Index), t), None));
-  run_index (fun m ->
-      let t = Baselines.Bztree.create m ~capacity:(1 lsl 23) () in
-      (Baselines.Index_intf.Index ((module Baselines.Bztree.Index), t), None));
-  run_index (fun m ->
-      let t = Baselines.Fptree.create m ~capacity:(1 lsl 23) () in
-      (Baselines.Index_intf.Index ((module Baselines.Fptree.Index), t), None));
-  run_index (fun m ->
-      let t = Baselines.Pdlart.create m ~capacity:(1 lsl 23) () in
-      (Baselines.Index_intf.Index ((module Baselines.Pdlart.Index), t), None))
+  List.iter
+    (fun kind ->
+      let _, r =
+        run_system ~kind ~mix:Workload.Ycsb.Workload_c ~loaded:2_000 ~ops:1_000
+          ~threads:4 ()
+      in
+      Alcotest.(check bool) "ran" true (r.Workload.Runner.throughput > 0.0))
+    Baselines.System.all
 
 let test_runner_scaling_shape () =
   (* More threads must not reduce total work done per simulated second
      for a read-mostly workload at small thread counts. *)
   let tput threads =
-    let machine = Nvm.Machine.create ~numa_count:2 () in
-    let t = small_tree machine in
-    let index = Baselines.Pactree_index.wrap t in
-    let r =
-      Workload.Runner.run ~machine ~index ~service:(pactree_service t)
-        ~mix:Workload.Ycsb.Workload_c ~kind:Workload.Keyset.Int_keys ~loaded:4_000
-        ~ops:4_000 ~threads ()
+    let _, r =
+      run_system ~mix:Workload.Ycsb.Workload_c ~loaded:4_000 ~ops:4_000 ~threads ()
     in
     r.Workload.Runner.throughput
   in
