@@ -16,6 +16,17 @@ let index_conv =
         | None -> Error (`Msg ("unknown index: " ^ s))),
       fun ppf sys -> Format.pp_print_string ppf (System.name sys) )
 
+(* Sizes and counts: a value below [min] is a usage error (exit 124)
+   here, not a crash, hang or late failure deep inside a run. *)
+let count ~min =
+  Arg.conv
+    ( (fun s ->
+        match Arg.conv_parser Arg.int s with
+        | Ok n when n < min ->
+            Error (`Msg (Printf.sprintf "%d is below the minimum %d" n min))
+        | r -> r),
+      Format.pp_print_int )
+
 let index_names = String.concat ", " (List.map System.name System.all)
 
 let index_arg =
@@ -39,12 +50,13 @@ let mix_arg =
     & info [ "mix" ] ~docv:"MIX" ~doc:"YCSB mix: la, a, b, c, e, skew-insert.")
 
 let keys_arg =
-  Arg.(value & opt int 100_000 & info [ "keys" ] ~doc:"Pre-loaded key count.")
+  Arg.(value & opt (count ~min:0) 100_000 & info [ "keys" ] ~doc:"Pre-loaded key count.")
 
-let ops_arg = Arg.(value & opt int 100_000 & info [ "ops" ] ~doc:"Operations to run.")
+let ops_arg =
+  Arg.(value & opt (count ~min:1) 100_000 & info [ "ops" ] ~doc:"Operations to run.")
 
 let threads_arg =
-  Arg.(value & opt int 28 & info [ "threads" ] ~doc:"Simulated worker threads.")
+  Arg.(value & opt (count ~min:1) 28 & info [ "threads" ] ~doc:"Simulated worker threads.")
 
 let theta_arg =
   Arg.(
@@ -80,8 +92,8 @@ let obs_arg =
     & opt (some string) None
     & info [ "obs" ] ~docv:"FILE"
         ~doc:
-          "Instrument the measured phase and dump metrics, per-phase attribution and \
-           the bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
+          "Instrument the measured phase and dump the per-phase attribution and the \
+           bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
            to $(docv).folded).")
 
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
@@ -328,7 +340,8 @@ let crashmc_cmd =
       & info [ "index" ] ~docv:"INDEX" ~doc:("Index to check: " ^ index_names ^ ", all."))
   in
   let ops_arg =
-    Arg.(value & opt int 48 & info [ "ops" ] ~doc:"Operations in the recorded trace.")
+    Arg.(
+      value & opt (count ~min:1) 48 & info [ "ops" ] ~doc:"Operations in the recorded trace.")
   in
   let budget_arg =
     Arg.(
@@ -406,6 +419,12 @@ let run_service sys shards quick keys ops workers queue batch batch_delay_us adm
           theta;
         }
       in
+      if cfg.Experiments.Svc_run.keys < shards then begin
+        (* every shard needs a boundary key of its own *)
+        Format.eprintf "pactree_bench: --keys %d is fewer than --shards %d@."
+          cfg.Experiments.Svc_run.keys shards;
+        exit Cmd.Exit.cli_error
+      end;
       (* Time-only recorder (each sweep point runs on a fresh machine):
          attributes simulated time to the svc_queue / svc_batch phases
          across the whole sweep. *)
@@ -438,7 +457,8 @@ let service_cmd =
      schema-validated JSON; or validate an existing file with --check."
   in
   let shards_arg =
-    Arg.(value & opt int 4 & info [ "shards" ] ~doc:"Range partitions (one log each).")
+    Arg.(
+      value & opt (count ~min:1) 4 & info [ "shards" ] ~doc:"Range partitions (one log each).")
   in
   let quick_arg =
     Arg.(value & flag & info [ "quick" ] ~doc:"Reduced scale for CI (seconds).")
@@ -446,23 +466,23 @@ let service_cmd =
   let keys_opt_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count ~min:0)) None
       & info [ "keys" ] ~doc:"Pre-loaded key count (default: scale preset).")
   in
   let ops_opt_arg =
     Arg.(
       value
-      & opt (some int) None
+      & opt (some (count ~min:1)) None
       & info [ "ops" ] ~doc:"Requests per sweep point (default: scale preset).")
   in
   let workers_arg =
-    Arg.(value & opt int 2 & info [ "workers" ] ~doc:"Worker threads per shard.")
+    Arg.(value & opt (count ~min:1) 2 & info [ "workers" ] ~doc:"Worker threads per shard.")
   in
   let queue_arg =
-    Arg.(value & opt int 64 & info [ "queue" ] ~doc:"Per-shard queue capacity.")
+    Arg.(value & opt (count ~min:1) 64 & info [ "queue" ] ~doc:"Per-shard queue capacity.")
   in
   let batch_arg =
-    Arg.(value & opt int 8 & info [ "batch" ] ~doc:"Max writes per group commit.")
+    Arg.(value & opt (count ~min:1) 8 & info [ "batch" ] ~doc:"Max writes per group commit.")
   in
   let batch_delay_arg =
     Arg.(

@@ -6,9 +6,18 @@ module Latency = Workload.Latency
 module Ycsb = Workload.Ycsb
 module Keyset = Workload.Keyset
 
+let latency_summary l =
+  let us p = Latency.percentile l p *. 1e6 in
+  {
+    Obs.Schema.p50_us = us 50.0;
+    p99_us = us 99.0;
+    p9999_us = us 99.99;
+    mean_us = Latency.mean l *. 1e6;
+    max_us = Latency.max l *. 1e6;
+  }
+
 let entry_of_result ~name ~keys (r : Runner.result) (obs : Obs.Recorder.t) =
   let per_op x = float_of_int x /. float_of_int (max 1 r.Runner.ops) in
-  let us p = Latency.percentile r.Runner.latency p *. 1e6 in
   let nvm = r.Runner.nvm in
   {
     Obs.Report.e_index = name;
@@ -18,11 +27,7 @@ let entry_of_result ~name ~keys (r : Runner.result) (obs : Obs.Recorder.t) =
     e_ops = r.Runner.ops;
     e_elapsed_s = r.Runner.elapsed;
     e_throughput_mops = Runner.mops r;
-    e_p50_us = us 50.0;
-    e_p99_us = us 99.0;
-    e_p9999_us = us 99.99;
-    e_mean_us = Latency.mean r.Runner.latency *. 1e6;
-    e_max_us = Latency.max r.Runner.latency *. 1e6;
+    e_latency = latency_summary r.Runner.latency;
     e_phase_pct =
       List.map
         (fun (p, pct) -> (Obs.Span.phase_name p, pct))

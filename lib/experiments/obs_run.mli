@@ -18,6 +18,9 @@ val bench_entry :
   Baselines.System.kind ->
   Obs.Report.entry * Obs.Recorder.t
 
+(** The report summary of a latency recorder (both report schemas). *)
+val latency_summary : Workload.Latency.t -> Obs.Schema.latency
+
 (** Condense an already-made run: [entry_of_result ~name ~keys r obs]. *)
 val entry_of_result :
   name:string -> keys:int -> Workload.Runner.result -> Obs.Recorder.t -> Obs.Report.entry

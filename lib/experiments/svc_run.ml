@@ -176,15 +176,6 @@ let report_config cfg =
     c_numa = cfg.numa;
   }
 
-let lat_of l =
-  {
-    Obs.Svc_report.l_p50_us = Latency.percentile l 50.0 *. 1e6;
-    l_p99_us = Latency.percentile l 99.0 *. 1e6;
-    l_p9999_us = Latency.percentile l 99.99 *. 1e6;
-    l_mean_us = Latency.mean l *. 1e6;
-    l_max_us = Latency.max l *. 1e6;
-  }
-
 let point_of_result (r : Engine.result) =
   let per_op c =
     if r.Engine.r_completed > 0 then
@@ -201,9 +192,9 @@ let point_of_result (r : Engine.result) =
       (if r.Engine.r_generated > 0 then
          float_of_int r.Engine.r_rejected /. float_of_int r.Engine.r_generated
        else 0.0);
-    p_queue = lat_of r.Engine.r_queue_lat;
-    p_service = lat_of r.Engine.r_service_lat;
-    p_total = lat_of r.Engine.r_total_lat;
+    p_queue = Obs_run.latency_summary r.Engine.r_queue_lat;
+    p_service = Obs_run.latency_summary r.Engine.r_service_lat;
+    p_total = Obs_run.latency_summary r.Engine.r_total_lat;
     p_shard_completed = Array.to_list r.Engine.r_shard_completed;
     p_imbalance = Engine.imbalance r;
     p_batches = r.Engine.r_batches;

@@ -6,11 +6,7 @@ type entry = {
   e_ops : int;
   e_elapsed_s : float;
   e_throughput_mops : float;
-  e_p50_us : float;
-  e_p99_us : float;
-  e_p9999_us : float;
-  e_mean_us : float;
-  e_max_us : float;
+  e_latency : Schema.latency;
   e_phase_pct : (string * float) list;
   e_phase_us : (string * float) list;
   e_flushes_per_op : float;
@@ -34,15 +30,7 @@ let entry_json e =
       ("ops", Json.Int e.e_ops);
       ("elapsed_s", Json.Float e.e_elapsed_s);
       ("throughput_mops", Json.Float e.e_throughput_mops);
-      ( "latency_us",
-        Json.Obj
-          [
-            ("p50", Json.Float e.e_p50_us);
-            ("p99", Json.Float e.e_p99_us);
-            ("p99.99", Json.Float e.e_p9999_us);
-            ("mean", Json.Float e.e_mean_us);
-            ("max", Json.Float e.e_max_us);
-          ] );
+      ("latency_us", Schema.latency_json e.e_latency);
       ("phase_pct", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) e.e_phase_pct));
       ("phase_us", Json.Obj (List.map (fun (k, v) -> (k, Json.Float v)) e.e_phase_us));
       ( "per_op",
@@ -89,12 +77,7 @@ let validate_entry i e =
   let* ops = require_number ctx "ops" e in
   let* _ = require_number ctx "elapsed_s" e in
   let* thr = require_number ctx "throughput_mops" e in
-  let* latency = require_obj ctx "latency_us" e in
-  let* p50 = require_number (ctx ^ ".latency_us") "p50" latency in
-  let* p99 = require_number (ctx ^ ".latency_us") "p99" latency in
-  let* p9999 = require_number (ctx ^ ".latency_us") "p99.99" latency in
-  let* _ = require_number (ctx ^ ".latency_us") "mean" latency in
-  let* _ = require_number (ctx ^ ".latency_us") "max" latency in
+  let* () = require_latency ctx "latency_us" e in
   let* phase_pct = require_obj ctx "phase_pct" e in
   let* sum =
     List.fold_left
@@ -122,11 +105,6 @@ let validate_entry i e =
     if ops > 0.0 && thr <= 0.0 then Error (ctx ^ ": non-positive throughput")
     else Ok ()
   in
-  let* () =
-    if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 then
-      Error (ctx ^ ": latency percentiles not monotone")
-    else Ok ()
-  in
   if flushes < 0.0 || elided < 0.0 || fences < 0.0 then
     Error (ctx ^ ": negative per-op cost")
   else Ok ()
@@ -150,7 +128,8 @@ let pp_entry ppf e =
     "@[<v>%-10s %s %d thr: %.3f Mops/s, p50 %.1f us, p99 %.1f us, p99.99 %.1f us@,\
      per op: %.2f flushes (+%.2f elided), %.2f fences, %.0f B read, %.0f B written \
      (amp %.2fx/%.2fx)@]"
-    e.e_index e.e_mix e.e_threads e.e_throughput_mops e.e_p50_us e.e_p99_us e.e_p9999_us
+    e.e_index e.e_mix e.e_threads e.e_throughput_mops e.e_latency.p50_us
+    e.e_latency.p99_us e.e_latency.p9999_us
     e.e_flushes_per_op e.e_flushes_elided_per_op e.e_fences_per_op
     e.e_media_read_bytes_per_op
     e.e_media_write_bytes_per_op e.e_read_amplification e.e_write_amplification

@@ -17,11 +17,7 @@ type entry = {
   e_ops : int;
   e_elapsed_s : float;  (** simulated seconds *)
   e_throughput_mops : float;
-  e_p50_us : float;
-  e_p99_us : float;
-  e_p9999_us : float;
-  e_mean_us : float;
-  e_max_us : float;
+  e_latency : Schema.latency;  (** of the sampled ops, microseconds *)
   e_phase_pct : (string * float) list;  (** over {!Span.all_phases} *)
   e_phase_us : (string * float) list;
   e_flushes_per_op : float;

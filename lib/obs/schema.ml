@@ -47,3 +47,33 @@ let write_file ?validate path json =
   match Option.map (fun v -> validate_file v path) validate with
   | None | Some (Ok ()) -> ()
   | Some (Error msg) -> failwith (Printf.sprintf "write_file %s: %s" path msg)
+
+type latency = {
+  p50_us : float;
+  p99_us : float;
+  p9999_us : float;
+  mean_us : float;
+  max_us : float;
+}
+
+let latency_json l =
+  Json.Obj
+    [
+      ("p50", Json.Float l.p50_us);
+      ("p99", Json.Float l.p99_us);
+      ("p99.99", Json.Float l.p9999_us);
+      ("mean", Json.Float l.mean_us);
+      ("max", Json.Float l.max_us);
+    ]
+
+let require_latency ctx key obj =
+  let* l = require_obj ctx key obj in
+  let ctx = ctx ^ "." ^ key in
+  let* p50 = require_number ctx "p50" l in
+  let* p99 = require_number ctx "p99" l in
+  let* p9999 = require_number ctx "p99.99" l in
+  let* _ = require_number ctx "mean" l in
+  let* mx = require_number ctx "max" l in
+  if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 || mx < p9999 -. 1e-9
+  then Error (ctx ^ ": percentiles not monotone")
+  else Ok ()

@@ -1,7 +1,8 @@
 (** Combinators shared by the report validators ({!Report},
     {!Svc_report}): field accessors that fail with a located message,
-    the schema-version check, an indexed walk over a result array, and
-    the write-then-revalidate file writer. *)
+    the schema-version check, an indexed walk over a result array, the
+    write-then-revalidate file writer, and the latency summary both
+    schemas carry. *)
 
 val ( let* ) : ('a, 'e) result -> ('a -> ('b, 'e) result) -> ('b, 'e) result
 
@@ -29,3 +30,19 @@ val validate_file : (Json.t -> (unit, string) result) -> string -> (unit, string
 (** Write [json] (one trailing newline).  With [validate], re-read the
     file and raise [Failure] if it does not validate. *)
 val write_file : ?validate:(Json.t -> (unit, string) result) -> string -> Json.t -> unit
+
+(** A latency distribution condensed for a report, in microseconds. *)
+type latency = {
+  p50_us : float;
+  p99_us : float;
+  p9999_us : float;
+  mean_us : float;
+  max_us : float;
+}
+
+(** [{p50, p99, p99.99, mean, max}], in that order. *)
+val latency_json : latency -> Json.t
+
+(** [require_latency ctx key obj]: [obj.key] is a {!latency_json}
+    block with [0 <= p50 <= p99 <= p99.99 <= max]. *)
+val require_latency : string -> string -> Json.t -> (unit, string) result

@@ -1,11 +1,3 @@
-type lat = {
-  l_p50_us : float;
-  l_p99_us : float;
-  l_p9999_us : float;
-  l_mean_us : float;
-  l_max_us : float;
-}
-
 type point = {
   p_offered_mops : float;
   p_achieved_mops : float;
@@ -13,9 +5,9 @@ type point = {
   p_completed : int;
   p_rejected : int;
   p_rejection_rate : float;
-  p_queue : lat;
-  p_service : lat;
-  p_total : lat;
+  p_queue : Schema.latency;
+  p_service : Schema.latency;
+  p_total : Schema.latency;
   p_shard_completed : int list;
   p_imbalance : float;
   p_batches : int;
@@ -42,16 +34,6 @@ type config = {
 
 let schema_version = "pactree-svc/v1"
 
-let lat_json l =
-  Json.Obj
-    [
-      ("p50", Json.Float l.l_p50_us);
-      ("p99", Json.Float l.l_p99_us);
-      ("p99.99", Json.Float l.l_p9999_us);
-      ("mean", Json.Float l.l_mean_us);
-      ("max", Json.Float l.l_max_us);
-    ]
-
 let point_json p =
   Json.Obj
     [
@@ -61,9 +43,9 @@ let point_json p =
       ("completed", Json.Int p.p_completed);
       ("rejected", Json.Int p.p_rejected);
       ("rejection_rate", Json.Float p.p_rejection_rate);
-      ("queue_latency_us", lat_json p.p_queue);
-      ("service_latency_us", lat_json p.p_service);
-      ("total_latency_us", lat_json p.p_total);
+      ("queue_latency_us", Schema.latency_json p.p_queue);
+      ("service_latency_us", Schema.latency_json p.p_service);
+      ("total_latency_us", Schema.latency_json p.p_total);
       ("shard_completed", Json.List (List.map (fun n -> Json.Int n) p.p_shard_completed));
       ("imbalance", Json.Float p.p_imbalance);
       ("batches", Json.Int p.p_batches);
@@ -104,18 +86,6 @@ let to_json c points =
 
 open Schema
 
-let validate_lat ctx key obj =
-  let* l = require_obj ctx key obj in
-  let ctx = ctx ^ "." ^ key in
-  let* p50 = require_number ctx "p50" l in
-  let* p99 = require_number ctx "p99" l in
-  let* p9999 = require_number ctx "p99.99" l in
-  let* _ = require_number ctx "mean" l in
-  let* mx = require_number ctx "max" l in
-  if p50 < 0.0 || p99 < p50 -. 1e-9 || p9999 < p99 -. 1e-9 || mx < p9999 -. 1e-9
-  then Error (ctx ^ ": percentiles not monotone")
-  else Ok p99
-
 let validate_point shards i p =
   let ctx = Printf.sprintf "sweep[%d]" i in
   let* offered = require_number ctx "offered_mops" p in
@@ -124,9 +94,9 @@ let validate_point shards i p =
   let* completed = require_number ctx "completed" p in
   let* rejected = require_number ctx "rejected" p in
   let* reject_rate = require_number ctx "rejection_rate" p in
-  let* _ = validate_lat ctx "queue_latency_us" p in
-  let* _ = validate_lat ctx "service_latency_us" p in
-  let* _ = validate_lat ctx "total_latency_us" p in
+  let* () = require_latency ctx "queue_latency_us" p in
+  let* () = require_latency ctx "service_latency_us" p in
+  let* () = require_latency ctx "total_latency_us" p in
   let* imbalance = require_number ctx "imbalance" p in
   let* _ = require_number ctx "batches" p in
   let* wpb = require_number ctx "writes_per_batch" p in
@@ -199,5 +169,5 @@ let pp_point ppf p =
     "%8.3f %9.3f %6.1f%% %9.1f %9.1f %9.1f %9.1f %6.2f %7.2f"
     p.p_offered_mops p.p_achieved_mops
     (100.0 *. p.p_rejection_rate)
-    p.p_queue.l_p50_us p.p_queue.l_p99_us p.p_service.l_p99_us p.p_total.l_p99_us
+    p.p_queue.p50_us p.p_queue.p99_us p.p_service.p99_us p.p_total.p99_us
     p.p_imbalance p.p_writes_per_batch

@@ -10,14 +10,6 @@
     offered loads strictly increasing); knee-shape assertions live in
     the bench driver, which knows it swept past saturation. *)
 
-type lat = {
-  l_p50_us : float;
-  l_p99_us : float;
-  l_p9999_us : float;
-  l_mean_us : float;
-  l_max_us : float;
-}
-
 type point = {
   p_offered_mops : float;
   p_achieved_mops : float;
@@ -25,9 +17,9 @@ type point = {
   p_completed : int;
   p_rejected : int;
   p_rejection_rate : float;  (** in [0, 1] *)
-  p_queue : lat;
-  p_service : lat;
-  p_total : lat;
+  p_queue : Schema.latency;
+  p_service : Schema.latency;
+  p_total : Schema.latency;
   p_shard_completed : int list;
   p_imbalance : float;  (** max/mean completions per shard, >= 1 *)
   p_batches : int;

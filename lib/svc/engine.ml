@@ -14,7 +14,6 @@ let admission_of_string = function
 
 type mode =
   | Open_loop of { rate : float; process : Arrival.process }
-  | Closed_loop of { clients : int }
 
 type config = {
   mode : mode;
@@ -78,8 +77,6 @@ type req = {
   q_op : Ycsb.op;
   q_arrival : float;
   mutable q_deq : float;
-  mutable q_finished : bool;
-  q_done : Waitq.t option; (* closed-loop completion signal *)
 }
 
 type squeue = {
@@ -160,10 +157,6 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
   and total_lat = mk_lat 103L in
   (* effective clock of the calling simulated thread (incl. charges) *)
   let clock () = Des.Sched.now sched +. Des.Sched.pending_charge () in
-  let n_sources =
-    match cfg.mode with Open_loop _ -> 1 | Closed_loop { clients } -> max 1 clients
-  in
-  let live_sources = ref n_sources in
   let live_workers = ref (nshards * cfg.workers_per_shard) in
   let services = Store.services store in
   (match obs with
@@ -177,17 +170,11 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
         (fun () -> svc.Workload.Runner.body ()))
     services;
   let finish ~shard ~t r =
-    r.q_finished <- true;
     incr completed;
     shard_completed.(shard) <- shard_completed.(shard) + 1;
-    if Latency.should_sample total_lat then begin
-      Latency.record queue_lat (r.q_deq -. r.q_arrival);
-      Latency.record service_lat (t -. r.q_deq);
-      Latency.record total_lat (t -. r.q_arrival)
-    end;
-    match r.q_done with
-    | Some wq -> Waitq.signal_all sched wq
-    | None -> ()
+    Latency.record queue_lat (r.q_deq -. r.q_arrival);
+    Latency.record service_lat (t -. r.q_deq);
+    Latency.record total_lat (t -. r.q_arrival)
   in
   let on_all_workers_done () =
     (match obs with
@@ -287,7 +274,7 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
         Waitq.signal_all sched q.nonempty)
       queues
   in
-  let submit ~wait_done op =
+  let submit op =
     let shard = Store.shard_of_key store (key_of_op op) in
     let q = queues.(shard) in
     let enqueue r =
@@ -295,73 +282,31 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
       Waitq.signal_one sched q.nonempty
     in
     incr generated;
-    let r =
-      {
-        q_op = op;
-        q_arrival = clock ();
-        q_deq = 0.0;
-        q_finished = false;
-        q_done = (if wait_done then Some (Waitq.create ()) else None);
-      }
-    in
-    if Queue.length q.items < cfg.queue_capacity then begin
-      enqueue r;
-      Some r
-    end
+    let r = { q_op = op; q_arrival = clock (); q_deq = 0.0 } in
+    if Queue.length q.items < cfg.queue_capacity then enqueue r
     else
       match cfg.admission with
-      | Reject ->
-          incr rejected;
-          None
+      | Reject -> incr rejected
       | Block ->
           while Queue.length q.items >= cfg.queue_capacity do
             Waitq.wait q.nonfull
           done;
-          enqueue r;
-          Some r
+          enqueue r
   in
-  (match cfg.mode with
-  | Open_loop { rate; process } ->
-      Des.Sched.spawn sched ~numa:0 ~name:"source" (fun () ->
-          let arr =
-            Arrival.create ~process ~rate
-              (Des.Rng.create ~seed:(Int64.add cfg.seed 7919L))
-          in
-          let stream =
-            Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
-              ~theta:cfg.theta ~seed:cfg.seed ~thread:0 ~threads:1
-          in
-          for _ = 1 to cfg.ops do
-            Des.Sched.delay (Arrival.next_gap arr);
-            ignore (submit ~wait_done:false (Ycsb.next stream) : req option)
-          done;
-          decr live_sources;
-          if !live_sources = 0 then close_queues ())
-  | Closed_loop { clients } ->
-      let clients = max 1 clients in
-      let numa_count = Nvm.Machine.numa_count machine in
-      for c = 0 to clients - 1 do
-        let per = (cfg.ops / clients) + if c < cfg.ops mod clients then 1 else 0 in
-        Des.Sched.spawn sched
-          ~numa:(c mod numa_count)
-          ~name:(Printf.sprintf "client%d" c)
-          (fun () ->
-            let stream =
-              Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded
-                ~theta:cfg.theta ~seed:cfg.seed ~thread:c ~threads:clients
-            in
-            for _ = 1 to per do
-              match submit ~wait_done:true (Ycsb.next stream) with
-              | None -> ()
-              | Some r ->
-                  let wq = Option.get r.q_done in
-                  while not r.q_finished do
-                    Waitq.wait wq
-                  done
-            done;
-            decr live_sources;
-            if !live_sources = 0 then close_queues ())
-      done);
+  let (Open_loop { rate; process }) = cfg.mode in
+  Des.Sched.spawn sched ~numa:0 ~name:"source" (fun () ->
+      let arr =
+        Arrival.create ~process ~rate (Des.Rng.create ~seed:(Int64.add cfg.seed 7919L))
+      in
+      let stream =
+        Ycsb.create ~mix:cfg.mix ~kind:cfg.kind ~loaded:cfg.loaded ~theta:cfg.theta
+          ~seed:cfg.seed ~thread:0 ~threads:1
+      in
+      for _ = 1 to cfg.ops do
+        Des.Sched.delay (Arrival.next_gap arr);
+        submit (Ycsb.next stream)
+      done;
+      close_queues ());
   (match obs with Some o -> Obs.Span.install o.Obs.Recorder.span | None -> ());
   let before = Nvm.Stats.snapshot (Nvm.Machine.total_stats machine) in
   Fun.protect
@@ -369,12 +314,6 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
       match obs with Some o -> Obs.Span.uninstall o.Obs.Recorder.span | None -> ())
     (fun () -> Des.Sched.run sched);
   let elapsed = Des.Sched.now sched -. start in
-  let offered =
-    match cfg.mode with
-    | Open_loop { rate; _ } -> rate
-    | Closed_loop _ ->
-        if elapsed > 0.0 then float_of_int !generated /. elapsed else 0.0
-  in
   {
     r_mode = cfg.mode;
     r_shards = nshards;
@@ -382,7 +321,7 @@ let run ~store ~config:cfg ?(start = 0.0) ?obs () =
     r_completed = !completed;
     r_rejected = !rejected;
     r_elapsed = elapsed;
-    r_offered = offered;
+    r_offered = rate;
     r_throughput =
       (if elapsed > 0.0 then float_of_int !completed /. elapsed else 0.0);
     r_queue_lat = queue_lat;
@@ -402,9 +341,8 @@ let pp_result ppf r =
      latency us: queue p50 %.2f p99 %.2f | service p50 %.2f p99 %.2f | total p50 \
      %.2f p99 %.2f p99.99 %.2f@,\
      %d batches (%.2f writes/commit), shard imbalance %.2fx@]"
-    (match r.r_mode with
-    | Open_loop { process; _ } -> Arrival.process_name process
-    | Closed_loop { clients } -> Printf.sprintf "closed(%d)" clients)
+    (let (Open_loop { process; _ }) = r.r_mode in
+     Arrival.process_name process)
     (r.r_offered /. 1e6) (r.r_throughput /. 1e6) r.r_completed r.r_generated
     r.r_rejected
     (if r.r_generated > 0 then

@@ -1,13 +1,11 @@
-(** Request engine: open- or closed-loop load over a {!Store}.
+(** Request engine: open-loop load over a {!Store}.
 
     Requests flow [source -> per-shard bounded queue -> shard worker
-    pool].  In {e open-loop} mode a single generator emits [ops]
-    requests on its own arrival schedule ({!Workload.Arrival}) at a
-    configured offered rate, independent of system progress — the
-    setting in which saturation and queueing delay are observable.  In
-    {e closed-loop} mode [clients] coroutines each submit a request
-    and block until it completes (the classic benchmark loop,
-    retained for back-compat).
+    pool].  A single generator emits [ops] requests on its own arrival
+    schedule ({!Workload.Arrival}) at a configured offered rate,
+    independent of system progress — the setting in which saturation
+    and queueing delay are observable.  (The closed benchmark loop,
+    each client waiting for its previous op, is {!Workload.Runner}.)
 
     Workers drain their shard's queue in batches of up to
     [max_batch]; an under-full batch waits up to [max_batch_delay]
@@ -21,11 +19,11 @@
     makes the source wait for space (backpressure; degrades an open
     loop toward closed behaviour).
 
-    Every completion records three latencies: {e queue} (arrival to
-    dequeue), {e service} (dequeue to ack — the log fence for writes,
-    op completion for reads) and {e total}.  Past the saturation knee
-    queue latency dominates service latency; that split is the point
-    of the exercise. *)
+    Every completion (no sampling) records three latencies: {e queue}
+    (arrival to dequeue), {e service} (dequeue to ack — the log fence
+    for writes, op completion for reads) and {e total}.  Past the
+    saturation knee queue latency dominates service latency; that
+    split is the point of the exercise. *)
 
 type admission = Reject | Block
 
@@ -36,7 +34,6 @@ val admission_of_string : string -> (admission, string) result
 type mode =
   | Open_loop of { rate : float; process : Workload.Arrival.process }
       (** [rate] in requests per simulated second *)
-  | Closed_loop of { clients : int }
 
 type config = {
   mode : mode;

@@ -33,17 +33,6 @@ let phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
   (match service with
   | Some s -> Des.Sched.spawn sched ~name:"service" (fun () -> s.body ())
   | None -> ());
-  let op_hists =
-    match obs with
-    | None -> None
-    | Some o ->
-        let m = o.Obs.Recorder.metrics in
-        Some
-          ( Obs.Metrics.histogram m "op.flushes",
-            Obs.Metrics.histogram m "op.fences",
-            Obs.Metrics.histogram m "op.media_read_bytes",
-            Obs.Metrics.histogram m "op.media_write_bytes" )
-  in
   let recorders = Array.init threads (fun i -> Latency.create (Des.Rng.create ~seed:(Int64.of_int (i + 33)))) in
   let live = ref threads in
   let profile = Nvm.Machine.profile machine in
@@ -59,24 +48,11 @@ let phase ~machine ~index ~service ~obs ~mix ~kind ~loaded ~theta ~seed ~threads
           let op = Ycsb.next stream in
           Des.Sched.charge profile.Nvm.Config.op_overhead;
           if Latency.should_sample recorder then begin
-            let stats_before =
-              match op_hists with
-              | Some _ -> Some (Nvm.Stats.snapshot (Nvm.Machine.total_stats machine))
-              | None -> None
-            in
             let start = Des.Sched.now sched in
             apply_op index op;
             (* make sure accumulated charges land in the clock *)
             Des.Sched.delay 0.0;
-            Latency.record recorder (Des.Sched.now sched -. start);
-            match (op_hists, stats_before) with
-            | Some (hf, hn, hr, hw), Some b ->
-                let d = Nvm.Stats.diff (Nvm.Machine.total_stats machine) b in
-                Obs.Metrics.observe hf (float_of_int d.Nvm.Stats.flushes);
-                Obs.Metrics.observe hn (float_of_int d.Nvm.Stats.fences);
-                Obs.Metrics.observe hr (float_of_int (Nvm.Stats.total_read_bytes d));
-                Obs.Metrics.observe hw (float_of_int (Nvm.Stats.total_write_bytes d))
-            | _ -> ()
+            Latency.record recorder (Des.Sched.now sched -. start)
           end
           else apply_op index op
         done;
@@ -129,20 +105,6 @@ let run ~machine ~index ?service ?obs ~mix ~kind ~loaded ~ops ~threads ?load_thr
   in
   let elapsed = end_time -. start in
   let nvm = Nvm.Stats.diff (Nvm.Machine.total_stats machine) before in
-  (match obs with
-  | Some o ->
-      let m = o.Obs.Recorder.metrics in
-      Obs.Metrics.add (Obs.Metrics.counter m "run.ops") ops;
-      Obs.Metrics.add (Obs.Metrics.counter m "run.flushes") nvm.Nvm.Stats.flushes;
-      Obs.Metrics.add (Obs.Metrics.counter m "run.fences") nvm.Nvm.Stats.fences;
-      Obs.Metrics.add
-        (Obs.Metrics.counter m "run.media_read_bytes")
-        (Nvm.Stats.total_read_bytes nvm);
-      Obs.Metrics.add
-        (Obs.Metrics.counter m "run.media_write_bytes")
-        (Nvm.Stats.total_write_bytes nvm);
-      Obs.Metrics.set (Obs.Metrics.gauge m "run.elapsed_s") elapsed
-  | None -> ());
   {
     mix;
     threads;

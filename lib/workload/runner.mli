@@ -28,12 +28,9 @@ type service = Baselines.System.service = { body : unit -> unit; shutdown : unit
 
     With [?obs], the measured phase (not the preparatory load) is
     instrumented: the recorder's span tracer is installed for phase
-    attribution, its sampler (if any) runs on the phase's scheduler
-    and is stopped when the workers finish, latency-sampled operations
-    additionally record per-op flush/fence/media-byte histograms
-    (["op.*"] — approximate under concurrency, since deltas of the
-    shared machine counters include neighbours' traffic), and run
-    totals land in ["run.*"] counters. *)
+    attribution (per-phase NVM traffic lands in its rows), and its
+    sampler (if any) runs on the phase's scheduler and is stopped when
+    the workers finish.  Run totals are the [result] itself. *)
 val run :
   machine:Nvm.Machine.t ->
   index:Baselines.Index_intf.index ->

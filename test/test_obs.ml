@@ -1,8 +1,9 @@
-(* Tests for lib/obs: metrics registry, span attribution under the
-   DES, the time-series sampler and the BENCH report schema. *)
+(* Tests for lib/obs: span attribution under the DES, the time-series
+   sampler and the BENCH / service report schemas, plus the latency
+   recorder those reports summarise. *)
 
 module Json = Obs.Json
-module Metrics = Obs.Metrics
+module Latency = Workload.Latency
 module Span = Obs.Span
 module Sampler = Obs.Sampler
 module Report = Obs.Report
@@ -37,59 +38,7 @@ let test_json_rejects_garbage () =
       | Error _ -> ())
     [ "{"; "{\"a\":}"; "[1,]"; "nul"; "\"unterminated"; "{\"a\":1} trailing" ]
 
-(* ---------- metrics ---------- *)
-
-let test_counter_gauge () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "ops" in
-  Metrics.inc c;
-  Metrics.add c 9;
-  Metrics.set (Metrics.gauge m "bw") 3.5;
-  Alcotest.(check int) "counter" 10 (Metrics.counter_value m "ops");
-  feq "gauge" 3.5 (Metrics.gauge_value m "bw");
-  (* handles are get-or-create: same name, same cell *)
-  Metrics.inc (Metrics.counter m "ops");
-  Alcotest.(check int) "shared cell" 11 (Metrics.counter_value m "ops")
-
-let test_snapshot_diff_merge () =
-  let m = Metrics.create () in
-  let c = Metrics.counter m "n" in
-  let h = Metrics.histogram m "lat" in
-  Metrics.add c 5;
-  List.iter (Metrics.observe h) [ 1.0; 2.0; 4.0 ];
-  let before = Metrics.snapshot m in
-  Metrics.add c 7;
-  List.iter (Metrics.observe h) [ 8.0; 16.0 ];
-  let d = Metrics.diff m before in
-  Alcotest.(check int) "diffed counter" 7 (Metrics.counter_value d "n");
-  (match Metrics.find_histogram d "lat" with
-  | None -> Alcotest.fail "diffed histogram missing"
-  | Some dh -> Alcotest.(check int) "diffed hist count" 2 (Metrics.hist_count dh));
-  (* before + diff = after, bucket-wise *)
-  Metrics.merge ~dst:before ~src:d;
-  Alcotest.(check int) "merged counter" 12 (Metrics.counter_value before "n");
-  match (Metrics.find_histogram before "lat", Metrics.find_histogram m "lat") with
-  | Some a, Some b ->
-      Alcotest.(check int) "merged count" (Metrics.hist_count b) (Metrics.hist_count a);
-      feq "merged p50" (Metrics.hist_percentile b 50.0) (Metrics.hist_percentile a 50.0);
-      feq "merged sum" (Metrics.hist_sum b) (Metrics.hist_sum a)
-  | _ -> Alcotest.fail "merged histogram missing"
-
-let test_histogram_accuracy () =
-  let m = Metrics.create () in
-  let h = Metrics.histogram m "v" in
-  for i = 1 to 1000 do
-    Metrics.observe h (float_of_int i)
-  done;
-  Alcotest.(check int) "count" 1000 (Metrics.hist_count h);
-  feq "max" 1000.0 (Metrics.hist_max h);
-  (* log-bucketed: within the geometric resolution of the true value *)
-  let p50 = Metrics.hist_percentile h 50.0 in
-  if p50 < 450.0 || p50 > 550.0 then Alcotest.failf "p50 %g too far from 500" p50;
-  feq "empty percentile" 0.0 (Metrics.hist_percentile (Metrics.histogram m "none") 99.0);
-  match Metrics.hist_percentile h 101.0 with
-  | exception Invalid_argument _ -> ()
-  | v -> Alcotest.failf "percentile 101 accepted: %g" v
+(* ---------- the latency recorder ---------- *)
 
 let test_percentile_monotone =
   QCheck.Test.make ~name:"obs: histogram percentiles are monotone" ~count:200
@@ -99,11 +48,32 @@ let test_percentile_monotone =
         (pair (float_bound_inclusive 100.0) (float_bound_inclusive 100.0)))
     (fun (values, (p, q)) ->
       QCheck.assume (List.for_all (fun v -> Float.is_finite v) values);
-      let m = Metrics.create () in
-      let h = Metrics.histogram m "x" in
-      List.iter (Metrics.observe h) values;
+      let l = Latency.create ~sample_rate:1.0 (Des.Rng.create ~seed:3L) in
+      List.iter (Latency.record l) values;
       let p, q = if p <= q then (p, q) else (q, p) in
-      Metrics.hist_percentile h p <= Metrics.hist_percentile h q)
+      Latency.percentile l p <= Latency.percentile l q)
+
+(* Runner, Engine and perfbench combine per-thread recorders with
+   [merge]: the result must be indistinguishable from one recorder
+   that saw every sample. *)
+let test_latency_merge () =
+  let fresh seed = Latency.create ~sample_rate:1.0 (Des.Rng.create ~seed) in
+  let a = fresh 1L and b = fresh 2L and whole = fresh 3L in
+  for i = 1 to 1000 do
+    let v = float_of_int ((i * 7919) mod 1009) *. 1e-6 in
+    Latency.record (if i mod 3 = 0 then a else b) v;
+    Latency.record whole v
+  done;
+  (* sort [a] before merging into it: the merge must re-sort *)
+  ignore (Latency.percentile a 50.0 : float);
+  Latency.merge ~dst:a ~src:b;
+  Alcotest.(check int) "count" (Latency.count whole) (Latency.count a);
+  List.iter
+    (fun p ->
+      feq (Printf.sprintf "p%g" p) (Latency.percentile whole p) (Latency.percentile a p))
+    [ 0.0; 50.0; 99.0; 99.99; 100.0 ];
+  feq "mean" ~eps:1e-12 (Latency.mean whole) (Latency.mean a);
+  feq "max" (Latency.max whole) (Latency.max a)
 
 (* ---------- spans under the DES ---------- *)
 
@@ -188,6 +158,9 @@ let test_sampler_series () =
 
 (* ---------- report schema ---------- *)
 
+let sample_latency =
+  { Obs.Schema.p50_us = 1.0; p99_us = 2.0; p9999_us = 3.0; mean_us = 1.2; max_us = 4.0 }
+
 let sample_entry =
   {
     Report.e_index = "PACTree";
@@ -197,11 +170,7 @@ let sample_entry =
     e_ops = 1000;
     e_elapsed_s = 0.01;
     e_throughput_mops = 0.1;
-    e_p50_us = 1.0;
-    e_p99_us = 2.0;
-    e_p9999_us = 3.0;
-    e_mean_us = 1.2;
-    e_max_us = 4.0;
+    e_latency = sample_latency;
     e_phase_pct =
       (let share = 100.0 /. float_of_int (List.length Span.all_phases) in
        List.map (fun p -> (Span.phase_name p, share)) Span.all_phases);
@@ -249,20 +218,15 @@ let test_report_rejects_malformed () =
          };
        ]);
   expect_error "non-monotone latency"
-    (sample_report [ { sample_entry with Report.e_p99_us = 0.5 } ]);
+    (sample_report
+       [ { sample_entry with Report.e_latency = { sample_latency with p99_us = 0.5 } } ]);
+  expect_error "max below p99.99"
+    (sample_report
+       [ { sample_entry with Report.e_latency = { sample_latency with max_us = 2.5 } } ]);
   expect_error "negative per-op cost"
     (sample_report [ { sample_entry with Report.e_flushes_per_op = -1.0 } ])
 
 (* ---------- the service report schema ---------- *)
-
-let svc_lat =
-  {
-    Obs.Svc_report.l_p50_us = 1.0;
-    l_p99_us = 2.0;
-    l_p9999_us = 3.0;
-    l_mean_us = 1.2;
-    l_max_us = 4.0;
-  }
 
 let svc_point offered =
   {
@@ -272,9 +236,9 @@ let svc_point offered =
     p_completed = 100;
     p_rejected = 0;
     p_rejection_rate = 0.0;
-    p_queue = svc_lat;
-    p_service = svc_lat;
-    p_total = svc_lat;
+    p_queue = sample_latency;
+    p_service = sample_latency;
+    p_total = sample_latency;
     p_shard_completed = [ 50; 50 ];
     p_imbalance = 1.0;
     p_batches = 10;
@@ -330,7 +294,12 @@ let test_svc_report_rejects_malformed () =
     (report [ { (svc_point 1.0) with Obs.Svc_report.p_shard_completed = [ 100 ] } ]);
   expect_error "total_latency_us: percentiles not monotone"
     (report
-       [ { (svc_point 1.0) with Obs.Svc_report.p_total = { svc_lat with l_p99_us = 0.5 } } ]);
+       [
+         {
+           (svc_point 1.0) with
+           Obs.Svc_report.p_total = { sample_latency with p99_us = 0.5 };
+         };
+       ]);
   expect_error "completed + rejected > generated"
     (report [ { (svc_point 1.0) with Obs.Svc_report.p_rejected = 10 } ])
 
@@ -395,10 +364,8 @@ let suite =
   [
     Alcotest.test_case "json round trip" `Quick test_json_roundtrip;
     Alcotest.test_case "json rejects garbage" `Quick test_json_rejects_garbage;
-    Alcotest.test_case "counter and gauge" `Quick test_counter_gauge;
-    Alcotest.test_case "snapshot/diff/merge" `Quick test_snapshot_diff_merge;
-    Alcotest.test_case "histogram accuracy" `Quick test_histogram_accuracy;
     QCheck_alcotest.to_alcotest test_percentile_monotone;
+    Alcotest.test_case "latency merge = one recorder" `Quick test_latency_merge;
     Alcotest.test_case "span nesting + charge" `Quick test_span_nesting;
     Alcotest.test_case "span no-op when uninstalled" `Quick test_span_uninstalled_noop;
     Alcotest.test_case "span exception safety" `Quick test_span_exception_safe;

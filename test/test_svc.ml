@@ -252,27 +252,7 @@ let test_engine_deterministic sys () =
   Alcotest.(check bool) "identical NVM traffic" true
     (Nvm.Stats.is_zero (Nvm.Stats.diff r1.Engine.r_nvm r2.Engine.r_nvm))
 
-(* ---------- closed loop + saturation sweep shape ---------- *)
-
-let test_closed_loop () =
-  let cfg = svc_cfg System.Fastfair in
-  let store = Experiments.Svc_run.make_store cfg in
-  let start =
-    Engine.load ~store ~kind:cfg.Experiments.Svc_run.kind
-      ~keys:cfg.Experiments.Svc_run.keys ()
-  in
-  let config =
-    {
-      (Experiments.Svc_run.engine_config cfg ~rate:1e6) with
-      Engine.mode = Engine.Closed_loop { clients = 8 };
-    }
-  in
-  let r = Engine.run ~store ~config ~start () in
-  Alcotest.(check int) "all generated" cfg.Experiments.Svc_run.ops
-    r.Engine.r_generated;
-  Alcotest.(check int) "closed loop rejects nothing" 0 r.Engine.r_rejected;
-  Alcotest.(check int) "all completed" r.Engine.r_generated r.Engine.r_completed;
-  Alcotest.(check bool) "made progress" true (r.Engine.r_throughput > 0.0)
+(* ---------- saturation sweep shape ---------- *)
 
 let test_sweep_shape () =
   let cfg = svc_cfg System.Fastfair in
@@ -447,8 +427,6 @@ let suite =
       (test_engine_deterministic System.Pactree);
     Alcotest.test_case "engine: deterministic (fastfair)" `Quick
       (test_engine_deterministic System.Fastfair);
-    Alcotest.test_case "engine: closed loop completes everything" `Quick
-      test_closed_loop;
     Alcotest.test_case "engine: saturation sweep shape" `Quick test_sweep_shape;
     Alcotest.test_case "crashmc: sharded store, direct ops" `Quick test_crashmc_direct;
     Alcotest.test_case "crashmc: sharded store, batched commits" `Quick
