@@ -96,7 +96,23 @@ let obs_arg =
            bandwidth timeline as JSON to $(docv) (collapsed flamegraph stacks go \
            to $(docv).folded).")
 
+(* Peak resident set size of this process ([VmHWM], Linux only). *)
+let peak_rss_bytes () =
+  match open_in "/proc/self/status" with
+  | exception Sys_error _ -> None
+  | ic ->
+      let rec scan () =
+        match input_line ic with
+        | line when String.starts_with ~prefix:"VmHWM:" line ->
+            Scanf.sscanf (String.sub line 6 (String.length line - 6)) " %d" (fun kb ->
+                Some (kb * 1024))
+        | _ -> scan ()
+        | exception End_of_file -> None
+      in
+      Fun.protect ~finally:(fun () -> close_in ic) scan
+
 let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide obs_out =
+  let wall0 = Unix.gettimeofday () in
   let protocol = if directory then Nvm.Config.Directory else Nvm.Config.Snoop in
   let profile = if low_bw then Nvm.Config.dcpmm_low_bw else Nvm.Config.dcpmm in
   let machine = Nvm.Machine.create ~profile ~protocol ~numa_count:2 () in
@@ -131,6 +147,11 @@ let run_ycsb sys mix keys ops threads theta string_keys directory low_bw elide o
     (float_of_int (Nvm.Stats.total_write_bytes r.Workload.Runner.nvm) /. 1e6)
     r.Workload.Runner.nvm.Nvm.Stats.flushes
     r.Workload.Runner.nvm.Nvm.Stats.flushes_elided r.Workload.Runner.nvm.Nvm.Stats.fences;
+  Format.printf "host       : %.1f s wall (load + run), peak RSS %s@."
+    (Unix.gettimeofday () -. wall0)
+    (match peak_rss_bytes () with
+    | Some b -> Printf.sprintf "%.0f MB" (float_of_int b /. 1e6)
+    | None -> "unavailable");
   match (obs_out, obs) with
   | Some path, Some o ->
       Format.printf "%a@." Obs.Span.pp_table o.Obs.Recorder.span;

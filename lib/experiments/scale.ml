@@ -17,7 +17,12 @@ type t = {
 let capacities keys =
   (* sized for the string layout (4KB data-node class, half-occupancy
      after splits, plus the run phase's fresh inserts), with room for
-     the out-of-node records of the baselines *)
+     the out-of-node records of the baselines.  This is a reservation
+     per NUMA pool: a heap gives each of its [numa_pools] pools the
+     full size (480 B/key, so 960 B/key on two domains), and PACTree
+     adds one 2 MiB SMO-log pool per domain.  Pools are paged and
+     materialise only the pages a run touches (Nvm.Pool), so host
+     memory follows use, not this reservation. *)
   let data = max (1 lsl 22) (keys * 384) in
   let search = max (1 lsl 21) (keys * 96) in
   (data, search)

@@ -1,5 +1,23 @@
 let line_size = 64
 
+(* Both byte images are page tables: arrays of fixed-size pages.  An
+   absent page is [zero_page], shared by every pool and never written,
+   so it reads as zeros.  A cache page is materialised by the first
+   store into it, a media page by the first line persisted into it.
+   Host memory therefore follows the bytes a run touches, not the
+   reserved capacity. *)
+let page_bits = 12
+
+let page_size = 1 lsl page_bits
+
+let page_mask = page_size - 1
+
+let lines_per_page = page_size / line_size
+
+let dirty_bytes_per_page = lines_per_page / 8
+
+let zero_page = Bytes.make page_size '\000'
+
 type t = {
   id : int;
   name : string;
@@ -7,9 +25,9 @@ type t = {
   dev : Device.t;
   numa : int;
   volatile : bool;
-  cache : Bytes.t;
-  media : Bytes.t; (* empty for volatile pools *)
-  dirty : Bytes.t; (* bitset, one bit per 64B line *)
+  cache : Bytes.t array;
+  media : Bytes.t array; (* empty for volatile pools *)
+  dirty : Bytes.t; (* bitset, one bit per 64B line (8 bytes per page) *)
   staged_by : (int, int) Hashtbl.t;
       (* line -> thread that staged it with no store since; that
          thread's pending fence will persist the current content, so
@@ -19,9 +37,103 @@ type t = {
 
 let round_up x align = (x + align - 1) / align * align
 
+(* The page of [img] holding [off], materialised for a store. *)
+let page_w img off =
+  let i = off lsr page_bits in
+  let pg = img.(i) in
+  if pg != zero_page then pg
+  else begin
+    let pg = Bytes.make page_size '\000' in
+    img.(i) <- pg;
+    pg
+  end
+
+let resident_pages img =
+  Array.fold_left (fun n pg -> if pg != zero_page then n + 1 else n) 0 img
+
+(* [n]-byte little-endian access that may straddle a page boundary. *)
+let rec get_le img off n =
+  if n = 0 then 0
+  else
+    Bytes.get_uint8 img.(off lsr page_bits) (off land page_mask)
+    lor (get_le img (off + 1) (n - 1) lsl 8)
+
+let rec set_le img off n v =
+  if n > 0 then begin
+    Bytes.set_uint8 (page_w img off) (off land page_mask) (v land 0xFF);
+    set_le img (off + 1) (n - 1) (v lsr 8)
+  end
+
+(* Page-by-page copies; the first step covers a same-page range whole. *)
+let rec blit_out img off buf pos len =
+  if len > 0 then begin
+    let o = off land page_mask in
+    let n = min len (page_size - o) in
+    Bytes.blit img.(off lsr page_bits) o buf pos n;
+    blit_out img (off + n) buf (pos + n) (len - n)
+  end
+
+let rec blit_in s pos img off len =
+  if len > 0 then begin
+    let o = off land page_mask in
+    let n = min len (page_size - o) in
+    Bytes.blit_string s pos (page_w img off) o n;
+    blit_in s (pos + n) img (off + n) (len - n)
+  end
+
+(* Absent pages are already zero: nothing to materialise. *)
+let rec zero_range img off len =
+  if len > 0 then begin
+    let o = off land page_mask in
+    let n = min len (page_size - o) in
+    let pg = img.(off lsr page_bits) in
+    if pg != zero_page then Bytes.fill pg o n '\000';
+    zero_range img (off + n) (len - n)
+  end
+
+let rec compare_in_page pg base len s slen i =
+  if i >= len || i >= slen then compare len slen
+  else
+    let c = Char.compare (Bytes.unsafe_get pg (base + i)) (String.unsafe_get s i) in
+    if c <> 0 then c else compare_in_page pg base len s slen (i + 1)
+
+let rec compare_paged img off len s slen i =
+  if i >= len || i >= slen then compare len slen
+  else
+    let p = off + i in
+    let c =
+      Char.compare
+        (Bytes.unsafe_get img.(p lsr page_bits) (p land page_mask))
+        (String.unsafe_get s i)
+    in
+    if c <> 0 then c else compare_paged img off len s slen (i + 1)
+
+let rec words_equal a b pos len =
+  len <= 0
+  || (Bytes.get_int64_ne a pos : int64) = Bytes.get_int64_ne b pos
+     && words_equal a b (pos + 8) (len - 8)
+
+let is_zero b pos len =
+  let rec go i = i >= len || (Bytes.unsafe_get b (pos + i) = '\000' && go (i + 1)) in
+  go 0
+
+(* Byte offset of [line] within its page. *)
+let line_pos line = (line * line_size) land page_mask
+
+(* Copy one 64B line from [src] at [src_pos] into the media image. *)
+let persist_line t src src_pos line =
+  Bytes.blit src src_pos (page_w t.media (line * line_size)) (line_pos line) line_size
+
+let line_page img line = img.((line * line_size) lsr page_bits)
+
+let line_string img line = Bytes.sub_string (line_page img line) (line_pos line) line_size
+
+let line_dirty t line =
+  Bytes.get_uint8 t.dirty (line lsr 3) land (1 lsl (line land 7)) <> 0
+
 let create machine ?(volatile = false) ~name ~numa ~capacity () =
   let capacity = round_up (max capacity 256) 256 in
-  let lines = capacity / line_size in
+  let pages = (capacity + page_size - 1) / page_size in
   let pool =
     {
       id = Machine.fresh_pool_id machine;
@@ -30,12 +142,16 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       dev = Machine.device machine numa;
       numa;
       volatile;
-      cache = Bytes.make capacity '\000';
-      media = (if volatile then Bytes.empty else Bytes.make capacity '\000');
-      dirty = Bytes.make ((lines + 7) / 8) '\000';
+      cache = Array.make pages zero_page;
+      media = (if volatile then [||] else Array.make pages zero_page);
+      dirty = Bytes.make (pages * dirty_bytes_per_page) '\000';
       staged_by = Hashtbl.create 64;
       capacity;
     }
+  in
+  let reset_line_state () =
+    Hashtbl.reset pool.staged_by;
+    Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000'
   in
   Machine.register_pool_view machine
     {
@@ -43,39 +159,63 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
       pv_name = name;
       pv_capacity = capacity;
       pv_volatile = volatile;
-      pv_media = (fun () -> Bytes.copy pool.media);
+      pv_media =
+        (fun () ->
+          if volatile then Bytes.empty
+          else begin
+            let img = Bytes.make capacity '\000' in
+            blit_out pool.media 0 img 0 capacity;
+            img
+          end);
       pv_restore =
         (fun img ->
-          if volatile then Bytes.fill pool.cache 0 capacity '\000'
+          if volatile then Array.fill pool.cache 0 pages zero_page
           else begin
             if Bytes.length img <> capacity then
               invalid_arg
                 (Printf.sprintf "Pool %s: restore image %d bytes, capacity %d"
                    name (Bytes.length img) capacity);
-            Bytes.blit img 0 pool.media 0 capacity;
-            Bytes.blit img 0 pool.cache 0 capacity
+            for i = 0 to pages - 1 do
+              let pos = i lsl page_bits in
+              let n = min page_size (capacity - pos) in
+              if is_zero img pos n then begin
+                pool.media.(i) <- zero_page;
+                pool.cache.(i) <- zero_page
+              end
+              else begin
+                let pg = Bytes.make page_size '\000' in
+                Bytes.blit img pos pg 0 n;
+                pool.media.(i) <- pg;
+                pool.cache.(i) <- Bytes.copy pg
+              end
+            done
           end;
-          Hashtbl.reset pool.staged_by;
-          Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000');
+          reset_line_state ());
     };
   let on_crash mode =
-    if volatile then Bytes.fill pool.cache 0 capacity '\000'
+    if volatile then Array.fill pool.cache 0 pages zero_page
     else begin
       (match mode with
       | Machine.Strict -> ()
       | Machine.Flaky (p, rng) ->
           (* Un-fenced dirty lines may have been evicted to the media
-             by the cache at any point: persist each with prob. p. *)
-          for line = 0 to lines - 1 do
-            let byte = Bytes.get_uint8 pool.dirty (line lsr 3) in
-            if byte land (1 lsl (line land 7)) <> 0 && Des.Rng.float rng < p then
-              Bytes.blit pool.cache (line * line_size) pool.media (line * line_size)
-                line_size
+             by the cache at any point: persist each with prob. p.
+             Only pages holding a dirty line are visited, in line
+             order, so the draws match a line-by-line scan. *)
+          for i = 0 to pages - 1 do
+            if Bytes.get_int64_ne pool.dirty (i * dirty_bytes_per_page) <> 0L then
+              for line = i * lines_per_page to ((i + 1) * lines_per_page) - 1 do
+                if line_dirty pool line && Des.Rng.float rng < p then
+                  persist_line pool pool.cache.(i) (line_pos line) line
+              done
           done);
-      Bytes.blit pool.media 0 pool.cache 0 capacity
+      (* cache := media: rebuild resident pages, drop the rest *)
+      for i = 0 to pages - 1 do
+        let m = pool.media.(i) in
+        pool.cache.(i) <- (if m == zero_page then zero_page else Bytes.copy m)
+      done
     end;
-    Hashtbl.reset pool.staged_by;
-    Bytes.fill pool.dirty 0 (Bytes.length pool.dirty) '\000'
+    reset_line_state ()
   in
   Machine.on_crash machine on_crash;
   pool
@@ -108,9 +248,6 @@ let clear_dirty t line =
   let bit = 1 lsl (line land 7) in
   let byte = Bytes.get_uint8 t.dirty idx in
   if byte land bit <> 0 then Bytes.set_uint8 t.dirty idx (byte land lnot bit)
-
-let line_dirty t line =
-  Bytes.get_uint8 t.dirty (line lsr 3) land (1 lsl (line land 7)) <> 0
 
 (* Charge the cost of touching the line containing [off].  Writes take
    the same miss path as reads (read-for-ownership). *)
@@ -174,7 +311,7 @@ let trace_store t off len =
                {
                  pool = t.id;
                  line;
-                 data = Bytes.sub_string t.cache (line * line_size) line_size;
+                 data = line_string t.cache line;
                })
         done
       end
@@ -199,42 +336,52 @@ let record_store t off len =
 
 let read_u8 t off =
   touch_range t off 1;
-  Bytes.get_uint8 t.cache off
+  Bytes.get_uint8 t.cache.(off lsr page_bits) (off land page_mask)
 
 let write_u8 t off v =
   touch_range_write t off 1;
-  Bytes.set_uint8 t.cache off v;
+  Bytes.set_uint8 (page_w t.cache off) (off land page_mask) v;
   record_store t off 1
 
 let read_u16 t off =
   touch_range t off 2;
-  Bytes.get_uint16_le t.cache off
+  let o = off land page_mask in
+  if o <= page_size - 2 then Bytes.get_uint16_le t.cache.(off lsr page_bits) o
+  else get_le t.cache off 2
 
 let write_u16 t off v =
   touch_range_write t off 2;
-  Bytes.set_uint16_le t.cache off v;
+  let o = off land page_mask in
+  if o <= page_size - 2 then Bytes.set_uint16_le (page_w t.cache off) o v
+  else set_le t.cache off 2 v;
   record_store t off 2
 
 let read_u32 t off =
   touch_range t off 4;
-  Int32.to_int (Bytes.get_int32_le t.cache off) land 0xFFFFFFFF
+  let o = off land page_mask in
+  if o <= page_size - 4 then
+    Int32.to_int (Bytes.get_int32_le t.cache.(off lsr page_bits) o) land 0xFFFFFFFF
+  else get_le t.cache off 4
 
 let write_u32 t off v =
   touch_range_write t off 4;
-  Bytes.set_int32_le t.cache off (Int32.of_int v);
+  let o = off land page_mask in
+  if o <= page_size - 4 then Bytes.set_int32_le (page_w t.cache off) o (Int32.of_int v)
+  else set_le t.cache off 4 v;
   record_store t off 4
 
+(* 8-byte accesses are aligned, so never straddle a page. *)
 let read_int64 t off =
   if off land 7 <> 0 then
     invalid_arg (Printf.sprintf "Pool %s: unaligned 8B read at %d" t.name off);
   touch_range t off 8;
-  Bytes.get_int64_le t.cache off
+  Bytes.get_int64_le t.cache.(off lsr page_bits) (off land page_mask)
 
 let write_int64 t off v =
   if off land 7 <> 0 then
     invalid_arg (Printf.sprintf "Pool %s: unaligned 8B write at %d" t.name off);
   touch_range_write t off 8;
-  Bytes.set_int64_le t.cache off v;
+  Bytes.set_int64_le (page_w t.cache off) (off land page_mask) v;
   record_store t off 8
 
 let read_int t off = Int64.to_int (read_int64 t off)
@@ -243,46 +390,45 @@ let write_int t off v = write_int64 t off (Int64.of_int v)
 
 let read_string t off len =
   touch_range t off len;
-  Bytes.sub_string t.cache off len
+  let o = off land page_mask in
+  (* [len > 0]: an empty read may sit at [capacity], past the last page *)
+  if len > 0 && o + len <= page_size then Bytes.sub_string t.cache.(off lsr page_bits) o len
+  else begin
+    let buf = Bytes.create len in
+    blit_out t.cache off buf 0 len;
+    Bytes.unsafe_to_string buf
+  end
 
 let write_string t off s =
   let len = String.length s in
   if len > 0 then begin
     touch_range_write t off len;
-    Bytes.blit_string s 0 t.cache off len;
+    blit_in s 0 t.cache off len;
     record_store t off len
   end
 
 let blit_to_bytes t off buf pos len =
   touch_range t off len;
-  Bytes.blit t.cache off buf pos len
+  blit_out t.cache off buf pos len
 
 let fill_zero t off len =
   if len > 0 then begin
     touch_range_write t off len;
-    Bytes.fill t.cache off len '\000';
+    zero_range t.cache off len;
     record_store t off len
   end
 
 let compare_string t off len s =
   touch_range t off len;
-  let slen = String.length s in
-  let rec go i =
-    if i >= len || i >= slen then compare len slen
-    else
-      let c = Char.compare (Bytes.unsafe_get t.cache (off + i)) (String.unsafe_get s i) in
-      if c <> 0 then c else go (i + 1)
-  in
-  go 0
+  let o = off land page_mask in
+  if len > 0 && o + len <= page_size then
+    compare_in_page t.cache.(off lsr page_bits) o len s (String.length s) 0
+  else compare_paged t.cache off len s (String.length s) 0
 
+(* A line never straddles a page; two absent pages are equal. *)
 let lines_equal t line =
-  let base = line * line_size in
-  let rec go i =
-    i >= line_size
-    || Bytes.unsafe_get t.cache (base + i) = Bytes.unsafe_get t.media (base + i)
-       && go (i + 1)
-  in
-  go 0
+  let c = line_page t.cache line and m = line_page t.media line in
+  c == m || words_equal c m (line_pos line) line_size
 
 (* eADR: the store itself is durable; the dirty line drains to the
    media in the background, consuming write bandwidth but never
@@ -297,7 +443,7 @@ let eadr_drain t off =
   end
   else ignore (Device.write t.dev ~now:0.0 ~xpline:(g lsr 2) ~bytes:64 ~from_numa:t.numa);
   let line = off lsr 6 in
-  Bytes.blit t.cache (line * line_size) t.media (line * line_size) line_size;
+  persist_line t (line_page t.cache line) (line_pos line) line;
   clear_dirty t line;
   match Machine.tracer t.machine with
   | Some emit ->
@@ -306,7 +452,7 @@ let eadr_drain t off =
            {
              pool = t.id;
              line;
-             data = Bytes.sub_string t.media (line * line_size) line_size;
+             data = line_string t.media line;
            })
   | None -> ()
 
@@ -372,9 +518,9 @@ let clwb t off =
       stats.Stats.flushes <- stats.Stats.flushes + 1;
       let profile = Machine.profile t.machine in
       Des.Sched.charge profile.Config.clwb_cpu_cost;
-      let snapshot = Bytes.sub t.cache (line * line_size) line_size in
+      let snapshot = Bytes.sub (line_page t.cache line) (line_pos line) line_size in
       let apply () =
-        Bytes.blit snapshot 0 t.media (line * line_size) line_size;
+        persist_line t snapshot 0 line;
         if lines_equal t line then clear_dirty t line
       in
       let g = gline t off in
@@ -414,17 +560,19 @@ let persist t off len =
 
 let media_read_int t off =
   assert (not t.volatile);
-  Int64.to_int (Bytes.get_int64_le t.media off)
+  Int64.to_int (Bytes.get_int64_le t.media.(off lsr page_bits) (off land page_mask))
 
 let line_is_dirty t off = (not t.volatile) && line_dirty t (off lsr 6)
 
 let cas_int t off ~expected v =
   assert (off land 7 = 0);
   touch_range_write t off 8;
-  let cur = Int64.to_int (Bytes.get_int64_le t.cache off) in
+  let cur = Int64.to_int (Bytes.get_int64_le t.cache.(off lsr page_bits) (off land page_mask)) in
   if cur = expected then begin
-    Bytes.set_int64_le t.cache off (Int64.of_int v);
+    Bytes.set_int64_le (page_w t.cache off) (off land page_mask) (Int64.of_int v);
     record_store t off 8;
     true
   end
   else false
+
+let resident_bytes t = (resident_pages t.cache + resident_pages t.media) * page_size

@@ -1,10 +1,20 @@
 (** A byte-addressable NVM (or DRAM) pool.
 
     A pool is a contiguous region backed by one NUMA device, exposed
-    through offset-based typed accessors.  Two byte images exist: the
-    {e cache} image (what the program reads and writes) and the
+    through offset-based typed accessors.  It holds two byte images:
+    the {e cache} image (what the program reads and writes) and the
     {e media} image (what survives a crash); [clwb]+[fence] move
     64-byte lines from the former to the latter (see {!Machine}).
+
+    Both images are paged in 4 KiB pages that are materialised on
+    first touch.  A page never touched reads as zeros, through one
+    shared zero page that is never written.  A cache page is created
+    by the first store into it; a media page only when a line is first
+    persisted into it (a fenced [clwb], an eADR drain, or a line that
+    survives a [Flaky] crash).  A crash rebuilds the resident cache
+    pages from the media pages and drops the rest.  Host memory thus
+    follows the bytes a run touches, not [capacity]; simulated
+    behaviour is the same as with two dense images.
 
     Every access is charged through the machine's cost model: CPU
     cache hits are cheap, misses become XPLine-granularity device
@@ -82,13 +92,17 @@ val compare_string : t -> int -> int -> string -> int
     at the caller's next [fence].  Models the cache-line invalidation
     of current-generation clwb (FH4).
 
-    FliT-style flush tracking elides redundant clwbs: when the line is
+    FliT-style flush tracking detects redundant clwbs: the line is
     already identical to the media image, or already staged by the
-    calling thread with no store since, the clwb is free (no CPU cost,
-    no staging, no cache invalidation) and counted in
-    {!Stats.t.flushes_elided} instead of [flushes].  Elision never
-    weakens persistence: the elided flush's obligation is already met
-    by the media state or by the caller's pending fence. *)
+    calling thread with no store since.  A redundant clwb is always
+    counted in {!Stats.t.flushes_elided}.  With the machine's
+    [flush_elision] off (the default) it then runs in full and is
+    counted in [flushes] too.  With elision on it skips staging and
+    the media write and is not counted in [flushes], but it still
+    charges [clwb_cpu_cost] and still invalidates the cache line
+    (FH4).  Elision never weakens persistence: the elided flush's
+    obligation is already met by the media state or by the caller's
+    pending fence. *)
 val clwb : t -> int -> unit
 
 (** [flush_range p off len] issues [clwb] for each line overlapping
@@ -110,6 +124,10 @@ val media_read_int : t -> int -> int
 (** True if the 64B line containing [off] differs between cache and
     media image. *)
 val line_is_dirty : t -> int -> bool
+
+(** Bytes of cache and media pages materialised so far (page tables
+    not counted). *)
+val resident_bytes : t -> int
 
 (** [cas_int p off ~expected v] atomically compares the 8-byte slot at
     [off] with [expected] and stores [v] on match (8-byte aligned).

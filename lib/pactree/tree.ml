@@ -783,10 +783,13 @@ let check_invariants t =
   let head_ptr = Pobj.read_int (Pobj.make t.meta 0) off_head in
   let nodes = List.rev (walk head_ptr Pptr.null None []) in
   (* search layer: every mapping must point to a live data node whose
-     anchor is the mapped key (after drain, it must be complete). *)
+     anchor is the mapped key (after drain, it must be complete).  The
+     check runs outside the scheduler, so the SMO backlog (a scan of
+     every log slot) cannot change during it: read it once. *)
+  let drained = smo_backlog t = 0 in
   List.iter
     (fun (anchor, ptr) ->
-      if smo_backlog t = 0 then
+      if drained then
         match Art.lookup t.art (Key.to_radix anchor) with
         | Some p when Pptr.equal p ptr -> ()
         | Some _ -> fail "search layer maps %s to the wrong node" anchor

@@ -10,6 +10,10 @@ let make_machine ?protocol () = Machine.create ?protocol ~numa_count:2 ()
 let make_pool ?(capacity = 1 lsl 20) ?volatile machine =
   Pool.create machine ?volatile ~name:"test" ~numa:0 ~capacity ()
 
+(* The pool's page size: accesses at [page * k - small] straddle a page
+   boundary. *)
+let page = 4096
+
 let test_rw_roundtrip () =
   let m = make_machine () in
   let p = make_pool m in
@@ -137,7 +141,10 @@ let test_flaky_p1_persists_all_dirty () =
   Pool.write_int p 0 7;
   let rng = Des.Rng.create ~seed:5L in
   Machine.crash m (Machine.Flaky (1.0, rng));
-  Alcotest.(check int) "dirty line evicted to media" 7 (Pool.read_int p 0)
+  Alcotest.(check int) "dirty line evicted to media" 7 (Pool.read_int p 0);
+  Alcotest.(check int) "in the media image" 7 (Pool.media_read_int p 0);
+  (* the survivor materialised one media page, rebuilt as one cache page *)
+  Alcotest.(check int) "cache and media page" (2 * page) (Pool.resident_bytes p)
 
 let test_overwrite_after_clwb () =
   (* The clwb snapshot is what the fence persists; later stores to the
@@ -156,8 +163,12 @@ let test_volatile_pool_lost_on_crash () =
   let p = make_pool ~volatile:true m in
   Pool.write_int p 0 42;
   Pool.persist p 0 8 (* no-op flush on DRAM *);
+  Pool.write_string p (page - 4) "dram-only" (* straddles a page *);
   Machine.crash m Machine.Strict;
-  Alcotest.(check int) "dram wiped" 0 (Pool.read_int p 0)
+  Alcotest.(check int) "dram wiped" 0 (Pool.read_int p 0);
+  Alcotest.(check string) "both pages wiped" (String.make 9 '\000')
+    (Pool.read_string p (page - 4) 9);
+  Alcotest.(check int) "nothing resident" 0 (Pool.resident_bytes p)
 
 let test_media_read_int () =
   let m = make_machine () in
@@ -361,6 +372,227 @@ let test_config_bandwidths () =
   Alcotest.(check bool) "low-bw machine ~3x lower" true
     (read_bandwidth dcpmm_low_bw *. 2.5 < read_bandwidth dcpmm)
 
+(* ---------- sparse paged images ---------- *)
+
+let test_cross_page_accessors () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let b = 3 * page in
+  Alcotest.(check int) "absent u16 reads zero" 0 (Pool.read_u16 p (b - 1));
+  Alcotest.(check int) "absent u32 reads zero" 0 (Pool.read_u32 p (b - 2));
+  Pool.write_u16 p (b - 1) 0xBEEF;
+  Alcotest.(check int) "u16 across pages" 0xBEEF (Pool.read_u16 p (b - 1));
+  Alcotest.(check int) "low byte before the boundary" 0xEF (Pool.read_u8 p (b - 1));
+  Alcotest.(check int) "high byte after it" 0xBE (Pool.read_u8 p b);
+  List.iter
+    (fun d ->
+      let off = b + page - d in
+      Pool.write_u32 p off 0xDEADBEEF;
+      Alcotest.(check int) (Printf.sprintf "u32 at page end - %d" d) 0xDEADBEEF
+        (Pool.read_u32 p off))
+    [ 1; 2; 3 ];
+  let s = "0123456789" in
+  Pool.write_string p (b - 5) s;
+  Alcotest.(check string) "read_string across pages" s (Pool.read_string p (b - 5) 10);
+  let buf = Bytes.make 12 '.' in
+  Pool.blit_to_bytes p (b - 5) buf 1 10;
+  Alcotest.(check string) "blit_to_bytes across pages" ".0123456789." (Bytes.to_string buf);
+  Alcotest.(check int) "compare equal" 0 (Pool.compare_string p (b - 5) 10 s);
+  Alcotest.(check bool) "differs after the boundary" true
+    (Pool.compare_string p (b - 5) 10 "0123456799" < 0);
+  Alcotest.(check bool) "differs before the boundary" true
+    (Pool.compare_string p (b - 5) 10 "0113456789" > 0);
+  Alcotest.(check bool) "longer probe" true (Pool.compare_string p (b - 5) 10 (s ^ "x") < 0);
+  Pool.fill_zero p (b - 3) 6;
+  Alcotest.(check string) "fill_zero across pages" "01\000\000\000\000\000\00089"
+    (Pool.read_string p (b - 5) 10);
+  (* a string spanning three pages *)
+  let long = String.init (page + 200) (fun i -> Char.chr (33 + (i mod 90))) in
+  Pool.write_string p (b + page - 100) long;
+  Alcotest.(check string) "string over three pages" long
+    (Pool.read_string p (b + page - 100) (String.length long));
+  Alcotest.(check int) "compare over three pages" 0
+    (Pool.compare_string p (b + page - 100) (String.length long) long);
+  Pool.persist p (b + page - 100) (String.length long);
+  Machine.crash m Machine.Strict;
+  Alcotest.(check string) "persisted across pages" long
+    (Pool.read_string p (b + page - 100) (String.length long));
+  let cap = Pool.capacity p in
+  Alcotest.(check string) "empty read at capacity" "" (Pool.read_string p cap 0);
+  Alcotest.(check int) "empty compare at capacity" 0 (Pool.compare_string p cap 0 "")
+
+let test_read_only_materialises_nothing () =
+  let m = make_machine () in
+  let p = make_pool ~capacity:(1 lsl 30) m in
+  let mib = 1 lsl 20 in
+  for i = 0 to 1023 do
+    Alcotest.(check int) "reads zero" 0 (Pool.read_int p (i * mib))
+  done;
+  Alcotest.(check int) "u16 across pages" 0 (Pool.read_u16 p (page - 1));
+  Alcotest.(check string) "string across pages" (String.make 16 '\000')
+    (Pool.read_string p (page - 8) 16);
+  Alcotest.(check bool) "compare" true (Pool.compare_string p (page - 8) 16 "a" < 0);
+  Pool.blit_to_bytes p (page - 8) (Bytes.create 16) 0 16;
+  Alcotest.(check bool) "failed cas" false (Pool.cas_int p 64 ~expected:1 2);
+  Pool.fill_zero p (page - 8) 16;
+  Alcotest.(check int) "nothing materialised" 0 (Pool.resident_bytes p);
+  Pool.write_u8 p (512 * mib) 1;
+  Alcotest.(check int) "one cache page" page (Pool.resident_bytes p);
+  Pool.persist p (512 * mib) 1;
+  Alcotest.(check int) "plus one media page" (2 * page) (Pool.resident_bytes p)
+
+(* Page 0 holds a persisted line and an unflushed one; page 2 was
+   stored to but never flushed, so no crash keeps it. *)
+let crash_keeps_persisted_lines mode =
+  let m = make_machine () in
+  let p = make_pool m in
+  Pool.write_int p 0 42;
+  Pool.persist p 0 8;
+  Pool.write_int p 128 7;
+  Pool.write_int p (2 * page) 9;
+  Alcotest.(check int) "resident before" (3 * page) (Pool.resident_bytes p);
+  Machine.crash m mode;
+  Alcotest.(check int) "persisted line kept" 42 (Pool.read_int p 0);
+  Alcotest.(check int) "unflushed line dropped" 0 (Pool.read_int p 128);
+  Alcotest.(check int) "unflushed page dropped" 0 (Pool.read_int p (2 * page));
+  Alcotest.(check int) "only the persisted page is resident" (2 * page)
+    (Pool.resident_bytes p);
+  Alcotest.(check bool) "clean after crash" false (Pool.line_is_dirty p 128)
+
+let test_strict_crash_keeps_persisted () = crash_keeps_persisted_lines Machine.Strict
+
+let test_flaky_crash_keeps_persisted () =
+  crash_keeps_persisted_lines (Machine.Flaky (0.0, Des.Rng.create ~seed:1L))
+
+let pool_view m p =
+  List.find (fun v -> v.Machine.pv_id = Pool.id p) (Machine.pool_views m)
+
+let test_media_image_roundtrip () =
+  let m = make_machine () in
+  (* not a page multiple: the last page is partial *)
+  let capacity = (1 lsl 20) + 256 in
+  let p = make_pool ~capacity m in
+  let v = pool_view m p in
+  Pool.write_string p (page - 3) "persisted";
+  Pool.persist p (page - 3) 9;
+  Pool.write_int p (capacity - 8) 77;
+  Pool.persist p (capacity - 8) 8;
+  let img = v.Machine.pv_media () in
+  Alcotest.(check int) "dense image" capacity (Bytes.length img);
+  Alcotest.(check string) "image bytes" "persisted" (Bytes.sub_string img (page - 3) 9);
+  Pool.write_int p (3 * page) 1 (* unflushed *);
+  Pool.write_string p (page - 3) "scribbled";
+  v.Machine.pv_restore img;
+  Alcotest.(check string) "restored" "persisted" (Pool.read_string p (page - 3) 9);
+  Alcotest.(check int) "restored tail" 77 (Pool.read_int p (capacity - 8));
+  Alcotest.(check int) "unflushed gone" 0 (Pool.read_int p (3 * page));
+  Alcotest.(check bool) "clean" false (Pool.line_is_dirty p (page - 3));
+  Pool.write_string p (page - 3) "unflushed";
+  Alcotest.(check bool) "stores after a restore stay off the media" true
+    (Bytes.equal img (v.Machine.pv_media ()));
+  v.Machine.pv_restore (Bytes.make capacity '\000');
+  Alcotest.(check int) "zero image: nothing resident" 0 (Pool.resident_bytes p);
+  Alcotest.check_raises "restore size checked"
+    (Invalid_argument
+       (Printf.sprintf "Pool test: restore image %d bytes, capacity %d" 8 capacity))
+    (fun () -> v.Machine.pv_restore (Bytes.make 8 '\000'))
+
+(* Random store/clwb/fence/crash sequences against a dense two-image
+   model of the ADR persistence rules. *)
+type pool_op =
+  | Op_string of int * string
+  | Op_u16 of int * int
+  | Op_u32 of int * int
+  | Op_int of int * int
+  | Op_zero of int * int
+  | Op_clwb of int
+  | Op_fence
+  | Op_crash
+
+let model_capacity = (2 * page) + 256
+
+let pp_pool_op = function
+  | Op_string (o, s) -> Printf.sprintf "string %d %S" o s
+  | Op_u16 (o, v) -> Printf.sprintf "u16 %d %d" o v
+  | Op_u32 (o, v) -> Printf.sprintf "u32 %d %d" o v
+  | Op_int (o, v) -> Printf.sprintf "int %d %d" o v
+  | Op_zero (o, n) -> Printf.sprintf "zero %d %d" o n
+  | Op_clwb o -> Printf.sprintf "clwb %d" o
+  | Op_fence -> "fence"
+  | Op_crash -> "crash"
+
+let pool_op_gen =
+  let open QCheck.Gen in
+  (* offsets cluster around page boundaries so accesses straddle them *)
+  let off len =
+    oneof
+      [
+        int_bound (model_capacity - len);
+        map2
+          (fun k d -> max 0 (min (model_capacity - len) ((k * page) + d)))
+          (int_range 1 2) (int_range (-80) 80);
+      ]
+  in
+  frequency
+    [
+      ( 3,
+        int_range 1 100 >>= fun len ->
+        map2 (fun o s -> Op_string (o, s)) (off len) (string_size ~gen:printable (return len)) );
+      (2, map2 (fun o v -> Op_u16 (o, v)) (off 2) (int_bound 0xFFFF));
+      (2, map2 (fun o v -> Op_u32 (o, v)) (off 4) (int_bound 0x3FFFFFFF));
+      (2, map2 (fun o v -> Op_int (o land lnot 7, v)) (off 8) nat);
+      (1, int_range 1 100 >>= fun len -> map (fun o -> Op_zero (o, len)) (off len));
+      (3, map (fun o -> Op_clwb o) (off 1));
+      (2, return Op_fence);
+      (1, return Op_crash);
+    ]
+
+let test_paged_pool_model =
+  QCheck.Test.make ~name:"pool: paged images agree with a dense model" ~count:150
+    (QCheck.make
+       ~print:(fun ops -> String.concat "; " (List.map pp_pool_op ops))
+       QCheck.Gen.(list_size (int_range 1 60) pool_op_gen))
+    (fun ops ->
+      let m = make_machine () in
+      let p = make_pool ~capacity:model_capacity m in
+      let v = pool_view m p in
+      let cache = Bytes.make model_capacity '\000' in
+      let media = Bytes.make model_capacity '\000' in
+      let staged = ref [] in
+      List.for_all
+        (fun op ->
+          (match op with
+          | Op_string (o, s) ->
+              Pool.write_string p o s;
+              Bytes.blit_string s 0 cache o (String.length s)
+          | Op_u16 (o, x) ->
+              Pool.write_u16 p o x;
+              Bytes.set_uint16_le cache o x
+          | Op_u32 (o, x) ->
+              Pool.write_u32 p o x;
+              Bytes.set_int32_le cache o (Int32.of_int x)
+          | Op_int (o, x) ->
+              Pool.write_int p o x;
+              Bytes.set_int64_le cache o (Int64.of_int x)
+          | Op_zero (o, n) ->
+              Pool.fill_zero p o n;
+              Bytes.fill cache o n '\000'
+          | Op_clwb o ->
+              Pool.clwb p o;
+              let base = o land lnot 63 in
+              staged := (base, Bytes.sub cache base 64) :: !staged
+          | Op_fence ->
+              Pool.fence p;
+              List.iter (fun (base, snap) -> Bytes.blit snap 0 media base 64) (List.rev !staged);
+              staged := []
+          | Op_crash ->
+              Machine.crash m Machine.Strict;
+              Bytes.blit media 0 cache 0 model_capacity;
+              staged := []);
+          Pool.read_string p 0 model_capacity = Bytes.to_string cache
+          && Bytes.equal (v.Machine.pv_media ()) media)
+        ops)
+
 let suite =
   [
     Alcotest.test_case "pool: typed read/write roundtrip" `Quick test_rw_roundtrip;
@@ -397,4 +629,13 @@ let suite =
       test_read_write_asymmetry;
     Alcotest.test_case "stats: snapshot/diff/add/reset" `Quick test_stats_roundtrip;
     Alcotest.test_case "config: bandwidth presets" `Quick test_config_bandwidths;
+    Alcotest.test_case "pool: accessors straddle pages" `Quick test_cross_page_accessors;
+    Alcotest.test_case "pool: reads materialise nothing" `Quick
+      test_read_only_materialises_nothing;
+    Alcotest.test_case "crash: strict keeps persisted pages only" `Quick
+      test_strict_crash_keeps_persisted;
+    Alcotest.test_case "crash: flaky keeps persisted pages only" `Quick
+      test_flaky_crash_keeps_persisted;
+    Alcotest.test_case "pool: media image roundtrip" `Quick test_media_image_roundtrip;
+    QCheck_alcotest.to_alcotest test_paged_pool_model;
   ]
