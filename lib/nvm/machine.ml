@@ -120,14 +120,18 @@ let now _t = match Des.Sched.self () with Some s -> Des.Sched.now s | None -> 0.
 
 (* Pool ids are process-global so that persistent pointers (which
    embed the pool id) can be resolved through a global registry even
-   when many machines coexist (tests, benchmarks). *)
+   when many machines coexist (tests, benchmarks).  The machine-local
+   index names the pool inside the cost model (cache lines, XPLines),
+   so a machine's simulated behaviour does not depend on how many
+   pools the process created before it. *)
 let global_pool_ids = ref 0
 
 let fresh_pool_id t =
   let id = !global_pool_ids in
   incr global_pool_ids;
-  t.next_pool_id <- t.next_pool_id + 1;
-  id
+  let index = t.next_pool_id in
+  t.next_pool_id <- index + 1;
+  (id, index)
 
 let cache_slot t gline = gline * 0x9E3779B1 land t.cpu_mask
 

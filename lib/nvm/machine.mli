@@ -40,9 +40,12 @@ val now : t -> float
 
 (** {2 Used by {!Pool}} *)
 
-val fresh_pool_id : t -> int
+(** [fresh_pool_id t] is [(id, index)]: a process-global pool id (for
+    persistent pointers) and the pool's index among this machine's
+    pools, 0 for the first (for line and XPLine ids). *)
+val fresh_pool_id : t -> int * int
 
-(** [cache_access t gline] models a CPU cache access to global line
+(** [cache_access t gline] models a CPU cache access to machine-wide line
     [gline]; returns [true] on a hit.  Misses install the tag. *)
 val cache_access : t -> int -> bool
 
@@ -51,7 +54,7 @@ val cache_invalidate : t -> int -> unit
 type staged = {
   pool_id : int;
   dev : Device.t;
-  xpline : int;  (** global XPLine id, for write-combining *)
+  xpline : int;  (** machine-wide XPLine id, for write-combining *)
   apply : unit -> unit;  (** persist the snapshot into the media image *)
 }
 

@@ -20,6 +20,7 @@ let zero_page = Bytes.make page_size '\000'
 
 type t = {
   id : int;
+  index : int; (* machine-local: names the pool's lines in the cost model *)
   name : string;
   machine : Machine.t;
   dev : Device.t;
@@ -134,9 +135,11 @@ let line_dirty t line =
 let create machine ?(volatile = false) ~name ~numa ~capacity () =
   let capacity = round_up (max capacity 256) 256 in
   let pages = (capacity + page_size - 1) / page_size in
+  let id, index = Machine.fresh_pool_id machine in
   let pool =
     {
-      id = Machine.fresh_pool_id machine;
+      id;
+      index;
       name;
       machine;
       dev = Machine.device machine numa;
@@ -232,9 +235,11 @@ let is_volatile t = t.volatile
 
 let machine t = t.machine
 
-(* Global line / XPLine ids: pool id in the high bits keeps pools
-   disjoint while keeping in-pool adjacency (for the prefetcher). *)
-let gline t off = (t.id lsl 40) lor (off lsr 6)
+(* Machine-wide line / XPLine ids: the pool's machine-local index in
+   the high bits keeps pools disjoint while keeping in-pool adjacency
+   (for the prefetcher).  The global [id] would make the simulated
+   cache depend on the pools earlier machines created. *)
+let gline t off = (t.index lsl 40) lor (off lsr 6)
 
 let mark_dirty t off =
   let line = off lsr 6 in

@@ -64,6 +64,10 @@ let hdr_size = Layout.seal hdr
 
 let off_lock = Layout.off f_lock
 
+let off_type = Layout.off f_type
+
+let off_plen = Layout.off f_plen
+
 let off_count = Layout.off f_count
 
 let off_prefix = Layout.off f_prefix
@@ -124,15 +128,6 @@ let node_of ptr =
     raise Restart;
   { pool; off }
 
-let ntype n =
-  let ty = Pobj.get_u8 n f_type in
-  if ty > 3 then raise Restart (* speculative read of a non-node *);
-  ty
-
-let plen n = Pobj.get_u8 n f_plen
-
-let count n = Pobj.get_u16 n f_count
-
 let set_count n c = Pobj.set_u16 n f_count c
 
 let lockh n = { Vlock.pool = n.pool; off = n.off + off_lock }
@@ -144,66 +139,127 @@ let node_version h ~gen =
   if Vlock.is_obsolete v then raise Restart;
   v
 
-
-let stored_prefix_byte n i = Pobj.read_u8 n (off_prefix + i)
-
 (* Base-relative offset of child slot [i]; [child_slot] is the
    absolute form used for parent-slot records. *)
 let child_rel ty i = children_off.(ty) + (8 * i)
 
-let child_slot n ty i = n.off + child_rel ty i
-
-let read_child n ty i = Pobj.read_int n (child_rel ty i)
-
-let key4_16 n i = Pobj.read_u8 n (n4_keys + i)
-
-(* All of a Node4/16's key bytes in one cache access (they share a
-   line with the header). *)
-let keys4_16 n c = Pobj.read_string n n4_keys c
-
-let idx48 n b = Pobj.read_u8 n (n48_index + b)
-
 let byte_at rkey i = Char.code (String.unsafe_get rkey i)
 
-(* [find_child n b] returns the slot offset (for atomic replacement)
+(* ---------- node heads: one read per node line per visit ---------- *)
+
+(* Nodes are at least 64 B, so the heap places them on 64-byte
+   boundaries and a node's first line holds the lock word, type, plen,
+   count, the stored prefix, the Node4/16 key bytes (Node48: the first
+   32 index bytes) and the first child slots.  A visit reads that line
+   with one [Pobj] call and decodes everything from the host copy.
+   Any other line of the node is read whole, with one call, only when
+   the visit needs a byte of it, and is kept while the visit stays on
+   it: one line of Node48 index bytes and one line of child slots.  A
+   [Pool] call is charged once per line it touches, so a visit costs
+   one access per line it needs, like the data node's fingerprint
+   line.  (Only an unordered walk of a Node48's slots, [child_list],
+   can come back to a line.) *)
+let line_size = 64
+
+(* Line [li] of the node in [lb]; [li] = 0 while nothing is held. *)
+type line_cache = { mutable li : int; mutable lb : Bytes.t }
+
+type head = {
+  n : node;
+  ty : int;
+  plen : int;
+  count : int;
+  l0 : Bytes.t; (* the node's first line *)
+  bytes : line_cache; (* Node48 index bytes past [l0] *)
+  slots : line_cache; (* child slots past [l0] *)
+}
+
+(* Decoding is defensive: during an optimistic descent the line may be
+   a speculative read of something that is not a node. *)
+let read_head n =
+  let l0 = Bytes.create line_size in
+  Pobj.blit_to_bytes n 0 l0 0 line_size;
+  let ty = Bytes.get_uint8 l0 off_type in
+  if ty > 3 then raise Restart;
+  let count = Bytes.get_uint16_le l0 off_count in
+  if count > capacity.(ty) then raise Restart;
+  {
+    n;
+    ty;
+    plen = Bytes.get_uint8 l0 off_plen;
+    count;
+    l0;
+    bytes = { li = 0; lb = Bytes.empty };
+    slots = { li = 0; lb = Bytes.empty };
+  }
+
+(* The line holding node-relative offset [rel], through cache [c]. *)
+let line h c rel =
+  let i = rel / line_size in
+  if i = 0 then h.l0
+  else begin
+    if c.li <> i then begin
+      if Bytes.length c.lb = 0 then c.lb <- Bytes.create line_size;
+      let lrel = i * line_size in
+      Pobj.blit_to_bytes h.n lrel c.lb 0 (min line_size (node_size.(h.ty) - lrel));
+      c.li <- i
+    end;
+    c.lb
+  end
+
+let byte h rel = Bytes.get_uint8 (line h h.bytes rel) (rel mod line_size)
+
+let child h i =
+  let rel = child_rel h.ty i in
+  Int64.to_int (Bytes.get_int64_le (line h h.slots rel) (rel mod line_size))
+
+let child_slot h i = h.n.off + child_rel h.ty i
+
+(* Key byte of Node4/16 entry [i]. *)
+let key_byte h i = byte h (n4_keys + i)
+
+(* Node48 index entry of byte [b]: 0 = absent, else slot + 1. *)
+let slot48 h b =
+  let s = byte h (n48_index + b) in
+  if s > capacity.(2) then raise Restart;
+  s
+
+let stored_prefix h =
+  Bytes.sub_string h.l0 off_prefix (min h.plen stored_prefix_max)
+
+(* [find_child h b] returns the slot offset (for atomic replacement)
    and the pointer. *)
-let find_child n b =
-  let ty = ntype n in
-  match ty with
+let find_child h b =
+  match h.ty with
   | 0 | 1 ->
-      let c = count n in
-      let keys = keys4_16 n c in
       let rec go i =
-        if i >= c then None
-        else if Char.code (String.unsafe_get keys i) = b then
-          let p = read_child n ty i in
-          if Pptr.is_null p then go (i + 1) else Some (child_slot n ty i, p)
+        if i >= h.count then None
+        else if key_byte h i = b then
+          let p = child h i in
+          if Pptr.is_null p then go (i + 1) else Some (child_slot h i, p)
         else go (i + 1)
       in
       go 0
   | 2 ->
-      let s = idx48 n b in
+      let s = slot48 h b in
       if s = 0 then None
       else
-        let p = read_child n ty (s - 1) in
-        if Pptr.is_null p then None else Some (child_slot n ty (s - 1), p)
+        let p = child h (s - 1) in
+        if Pptr.is_null p then None else Some (child_slot h (s - 1), p)
   | _ ->
-      let p = read_child n ty b in
-      if Pptr.is_null p then None else Some (child_slot n ty b, p)
+      let p = child h b in
+      if Pptr.is_null p then None else Some (child_slot h b, p)
 
 (* Largest child with byte < [b] (None if none): the ordered-search
    primitive of lookup_le.  Bounded per-type probing — never a full
    enumeration. *)
-let find_lt n b =
-  let ty = ntype n in
-  match ty with
+let find_lt h b =
+  match h.ty with
   | 0 | 1 ->
-      let c = count n in
-      let keys = keys4_16 n c in
       let rec go best_b best i =
-        if i >= c then (match best with None -> None | Some j -> Some (read_child n ty j))
+        if i >= h.count then (match best with None -> None | Some j -> Some (child h j))
         else
-          let kb = Char.code (String.unsafe_get keys i) in
+          let kb = key_byte h i in
           if kb < b && kb >= best_b then go kb (Some i) (i + 1)
           else go best_b best (i + 1)
       in
@@ -213,10 +269,10 @@ let find_lt n b =
       let rec go byte =
         if byte < 0 then None
         else
-          let s = idx48 n byte in
+          let s = slot48 h byte in
           if s = 0 then go (byte - 1)
           else
-            let p = read_child n ty (s - 1) in
+            let p = child h (s - 1) in
             if Pptr.is_null p then go (byte - 1) else Some p
       in
       go (b - 1)
@@ -224,24 +280,21 @@ let find_lt n b =
       let rec go byte =
         if byte < 0 then None
         else
-          let p = read_child n ty byte in
+          let p = child h byte in
           if Pptr.is_null p then go (byte - 1) else Some p
       in
       go (b - 1)
 
 (* Child with the largest / smallest byte. *)
-let last_child n = find_lt n 256
+let last_child h = find_lt h 256
 
-let first_child n =
-  let ty = ntype n in
-  match ty with
+let first_child h =
+  match h.ty with
   | 0 | 1 ->
-      let c = count n in
-      let keys = keys4_16 n c in
       let rec go best_b best i =
-        if i >= c then (match best with None -> None | Some j -> Some (read_child n ty j))
+        if i >= h.count then (match best with None -> None | Some j -> Some (child h j))
         else
-          let kb = Char.code (String.unsafe_get keys i) in
+          let kb = key_byte h i in
           if kb < best_b then go kb (Some i) (i + 1)
           else go best_b best (i + 1)
       in
@@ -251,10 +304,10 @@ let first_child n =
       let rec go byte =
         if byte > 255 then None
         else
-          let s = idx48 n byte in
+          let s = slot48 h byte in
           if s = 0 then go (byte + 1)
           else
-            let p = read_child n ty (s - 1) in
+            let p = child h (s - 1) in
             if Pptr.is_null p then go (byte + 1) else Some p
       in
       go 0
@@ -262,24 +315,22 @@ let first_child n =
       let rec go byte =
         if byte > 255 then None
         else
-          let p = read_child n ty byte in
+          let p = child h byte in
           if Pptr.is_null p then go (byte + 1) else Some p
       in
       go 0
 
 (* Children as (byte, ptr), sorted by byte. *)
-let child_list n =
-  let ty = ntype n in
-  match ty with
+let child_list h =
+  match h.ty with
   | 0 | 1 ->
-      let c = count n in
       let rec go acc i =
         if i < 0 then acc
         else
-          let p = read_child n ty i in
-          go (if Pptr.is_null p then acc else (key4_16 n i, p) :: acc) (i - 1)
+          let p = child h i in
+          go (if Pptr.is_null p then acc else (key_byte h i, p) :: acc) (i - 1)
       in
-      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (go [] (c - 1)) in
+      let sorted = List.sort (fun (a, _) (b, _) -> compare a b) (go [] (h.count - 1)) in
       (* A crash during the in-place removal's hole compaction can
          leave the last entry present twice (same byte, same pointer);
          collapse such exact duplicates. *)
@@ -293,10 +344,10 @@ let child_list n =
       let rec go acc b =
         if b < 0 then acc
         else
-          let s = idx48 n b in
+          let s = slot48 h b in
           if s = 0 then go acc (b - 1)
           else
-            let p = read_child n ty (s - 1) in
+            let p = child h (s - 1) in
             go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
       in
       go [] 255
@@ -304,16 +355,12 @@ let child_list n =
       let rec go acc b =
         if b < 0 then acc
         else
-          let p = read_child n ty b in
+          let p = child h b in
           go (if Pptr.is_null p then acc else (b, p) :: acc) (b - 1)
       in
       go [] 255
 
 (* ---------- persistence helpers ---------- *)
-
-let persist_node_image n =
-  Pobj.flush n 0 node_size.(ntype n);
-  Pobj.fence n
 
 (* [persist n rel len]: base-relative targeted persistence. *)
 let persist n rel len = Pobj.persist n rel len
@@ -402,11 +449,9 @@ let init_node t n ty ~prefix_len ~prefix =
     Pobj.write_u8 n (off_prefix + i) (byte_at prefix i)
   done
 
-(* Append a child without any ordering constraints — only valid on a
+(* Append child [c] without any ordering constraints — only valid on a
    node not yet published. *)
-let raw_add_child n b ptr =
-  let ty = ntype n in
-  let c = count n in
+let raw_add_child n ty c (b, ptr) =
   (match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -417,28 +462,39 @@ let raw_add_child n b ptr =
   | _ -> Pobj.write_int n (child_rel ty b) ptr);
   set_count n (c + 1)
 
+(* Allocate a node of type [ty] holding [children] (in order) and
+   persist its whole image; it is published by the caller's pointer
+   store. *)
+let new_node t ty ~prefix_len ~prefix children =
+  let n, ptr, slot = alloc_node t ty in
+  init_node t n ty ~prefix_len ~prefix;
+  List.iteri (raw_add_child n ty) children;
+  Pobj.flush n 0 node_size.(ty);
+  Pobj.fence n;
+  (n, ptr, slot)
+
 (* ---------- prefix handling ---------- *)
 
 (* Any leaf payload under [n]; used to reconstruct prefix bytes beyond
-   the 8 stored ones (the classic ART "optimistic prefix" recovery).
+   the 16 stored ones (the classic ART "optimistic prefix" recovery).
    Each node's children are validated against its version before the
    descent uses them — a torn read must never be dereferenced. *)
 let rec any_leaf t n =
   let h = lockh n in
   let v = node_version h ~gen:t.gen in
-  let first = first_child n in
+  let first = first_child (read_head n) in
   if not (Vlock.validate h ~gen:t.gen ~version:v) then raise Restart;
   match first with
   | None -> raise Restart (* transiently empty under concurrent SMO *)
   | Some p -> if Pptr.is_tagged p then Pptr.untag p else any_leaf t (node_of p)
 
-(* Full prefix bytes of [n], whose subtree starts at key depth
-   [depth]. *)
-let full_prefix t n ~depth =
-  let pl = plen n in
-  if pl <= stored_prefix_max then Pobj.read_string n off_prefix pl
+(* Full prefix bytes of the node of head [h], whose subtree starts at
+   key depth [depth]. *)
+let full_prefix t h ~depth =
+  let pl = h.plen in
+  if pl <= stored_prefix_max then stored_prefix h
   else begin
-    let leaf_key = t.key_of_leaf (any_leaf t n) in
+    let leaf_key = t.key_of_leaf (any_leaf t h.n) in
     if String.length leaf_key < depth + pl then raise Restart;
     String.sub leaf_key depth pl
   end
@@ -448,11 +504,11 @@ let full_prefix t n ~depth =
    the first differing position (the key segment may also simply be
    shorter); [`Before]/[`After] order the whole subtree against the
    key (used by ordered searches). *)
-let compare_prefix t n ~depth rkey =
-  let pl = plen n in
+let compare_prefix t h ~depth rkey =
+  let pl = h.plen in
   if pl = 0 then `Equal depth
   else begin
-    let full = full_prefix t n ~depth in
+    let full = full_prefix t h ~depth in
     let klen = String.length rkey in
     let rec go i =
       if i >= pl then `Equal (depth + pl)
@@ -526,7 +582,8 @@ let lookup t rkey =
   let rec descend n depth =
     let h = lockh n in
     let v = node_version h ~gen in
-    match compare_prefix t n ~depth rkey with
+    let hd = read_head n in
+    match compare_prefix t hd ~depth rkey with
     | `Diverge _ ->
         check h ~gen v;
         None
@@ -537,7 +594,7 @@ let lookup t rkey =
         end
         else begin
           let b = byte_at rkey depth' in
-          let child = find_child n b in
+          let child = find_child hd b in
           check h ~gen v;
           match child with
           | None -> None
@@ -565,7 +622,7 @@ let lookup t rkey =
 let rec max_leaf t n =
   let h = lockh n in
   let v = node_version h ~gen:t.gen in
-  let last = last_child n in
+  let last = last_child (read_head n) in
   check h ~gen:t.gen v;
   match last with
   | None -> raise Restart
@@ -585,7 +642,8 @@ let lookup_le t rkey =
   let rec descend n depth =
     let h = lockh n in
     let v = node_version h ~gen in
-    match compare_prefix t n ~depth rkey with
+    let hd = read_head n in
+    match compare_prefix t hd ~depth rkey with
     | `Diverge (i, full) -> (
         check h ~gen v;
         match order_of_divergence rkey ~depth full i with
@@ -600,8 +658,8 @@ let lookup_le t rkey =
         end
         else begin
           let b = byte_at rkey depth' in
-          let eq = find_child n b in
-          let lt = find_lt n b in
+          let eq = find_child hd b in
+          let lt = find_lt hd b in
           check h ~gen v;
           let from_lt () =
             match lt with
@@ -654,22 +712,19 @@ let common_prefix_len a b start =
   in
   go 0
 
-(* Copy [src] (same type) with its prefix shortened to the bytes after
-   position [cut]: used by prefix splits.  Returns the new node. *)
+(* Copy the node of head [src] (same type) with its prefix shortened
+   to the bytes after position [cut]: used by prefix splits and
+   merges.  Returns the new node. *)
 let copy_with_prefix t src ~full ~cut =
-  let ty = ntype src in
   let pl = String.length full in
-  let n, ptr, slot = alloc_node t ty in
-  init_node t n ty ~prefix_len:(pl - cut) ~prefix:(String.sub full cut (pl - cut));
-  List.iter (fun (b, p) -> raw_add_child n b p) (child_list src);
-  persist_node_image n;
-  (n, ptr, slot)
+  new_node t src.ty ~prefix_len:(pl - cut) ~prefix:(String.sub full cut (pl - cut))
+    (child_list src)
 
 (* In-place child insertion protocols: entry persisted first, then the
-   store that makes it visible (count / index / pointer). *)
-let add_child_inplace n b ptr =
-  let ty = ntype n in
-  let c = count n in
+   store that makes it visible (count / index / pointer).  [h] is the
+   head of the locked node, read at the version that was locked. *)
+let add_child_inplace h b ptr =
+  let n = h.n and ty = h.ty and c = h.count in
   match ty with
   | 0 | 1 ->
       Pobj.write_u8 n (n4_keys + c) b;
@@ -683,7 +738,7 @@ let add_child_inplace n b ptr =
       (* find a free physical slot by scanning the index *)
       let used = Array.make capacity.(ty) false in
       for byte = 0 to 255 do
-        let s = idx48 n byte in
+        let s = slot48 h byte in
         if s > 0 then used.(s - 1) <- true
       done;
       let rec free_slot i = if used.(i) then free_slot (i + 1) else i in
@@ -727,11 +782,10 @@ let insert t rkey payload =
     else begin
       let cpl = common_prefix_len old_key rkey depth in
       assert (depth + cpl < klen && depth + cpl < String.length old_key);
-      let n, nptr, pslot = alloc_node t 0 in
-      init_node t n 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl);
-      raw_add_child n (byte_at old_key (depth + cpl)) old_ptr;
-      raw_add_child n (byte_at rkey (depth + cpl)) tagged_payload;
-      persist_node_image n;
+      let _, nptr, pslot =
+        new_node t 0 ~prefix_len:cpl ~prefix:(String.sub rkey depth cpl)
+          [ (byte_at old_key (depth + cpl), old_ptr); (byte_at rkey (depth + cpl), tagged_payload) ]
+      in
       write_slot slot nptr;
       clear_pending t pslot;
       finish_release ();
@@ -740,7 +794,8 @@ let insert t rkey payload =
   in
   (* Prefix split: CoW the node with a shortened prefix, hang it and
      the new leaf under a fresh Node4, commit via the parent slot. *)
-  let prefix_split slot n nv depth i full =
+  let prefix_split slot hd nv depth i full =
+    let n = hd.n in
     if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
     let release_parent () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
     if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
@@ -749,13 +804,12 @@ let insert t rkey payload =
     end;
     assert (depth + i < klen);
     let old_ptr = read_slot slot in
-    let copy, _cptr, cslot = copy_with_prefix t n ~full ~cut:(i + 1) in
+    let copy, _cptr, cslot = copy_with_prefix t hd ~full ~cut:(i + 1) in
     let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
-    let n4, nptr, pslot = alloc_node t 0 in
-    init_node t n4 0 ~prefix_len:i ~prefix:(String.sub full 0 i);
-    raw_add_child n4 (byte_at full i) cptr_val;
-    raw_add_child n4 (byte_at rkey (depth + i)) tagged_payload;
-    persist_node_image n4;
+    let _, nptr, pslot =
+      new_node t 0 ~prefix_len:i ~prefix:(String.sub full 0 i)
+        [ (byte_at full i, cptr_val); (byte_at rkey (depth + i), tagged_payload) ]
+    in
     let rslot = log_retire t old_ptr in
     write_slot slot nptr (* commit *);
     clear_pending t cslot;
@@ -766,7 +820,8 @@ let insert t rkey payload =
     Inserted
   in
   (* Grow a full node to the next type (CoW) and add the new child. *)
-  let grow_and_add slot n nv b =
+  let grow_and_add slot hd nv b =
+    let n = hd.n in
     if not (Vlock.try_upgrade slot.s_lock ~gen ~version:slot.s_version) then raise Restart;
     let release_parent () = Vlock.release slot.s_lock ~gen ~version:(slot.s_version + 1) in
     if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then begin
@@ -774,19 +829,11 @@ let insert t rkey payload =
       raise Restart
     end;
     let old_ptr = read_slot slot in
-    let ty = ntype n in
-    assert (ty < 3);
-    let big, bptr, bslot = alloc_node t (ty + 1) in
-    let pl = plen n in
-    let prefix =
-      if pl = 0 then ""
-      else
-        String.init (min pl stored_prefix_max) (fun i -> Char.chr (stored_prefix_byte n i))
+    assert (hd.ty < 3);
+    let _, bptr, bslot =
+      new_node t (hd.ty + 1) ~prefix_len:hd.plen ~prefix:(stored_prefix hd)
+        (child_list hd @ [ (b, tagged_payload) ])
     in
-    init_node t big (ty + 1) ~prefix_len:pl ~prefix;
-    List.iter (fun (kb, p) -> raw_add_child big kb p) (child_list n);
-    raw_add_child big b tagged_payload;
-    persist_node_image big;
     let rslot = log_retire t old_ptr in
     write_slot slot bptr;
     clear_pending t bslot;
@@ -801,10 +848,11 @@ let insert t rkey payload =
       let n = node_of cur in
       let h = lockh n in
       let v = node_version h ~gen in
-      match compare_prefix t n ~depth rkey with
+      let hd = read_head n in
+      match compare_prefix t hd ~depth rkey with
       | `Diverge (i, full) ->
           check h ~gen v;
-          prefix_split slot n v depth i full
+          prefix_split slot hd v depth i full
       | `Equal depth' ->
           if depth' >= klen then begin
             check h ~gen v;
@@ -812,7 +860,7 @@ let insert t rkey payload =
           end
           else begin
             let b = byte_at rkey depth' in
-            let child = find_child n b in
+            let child = find_child hd b in
             check h ~gen v;
             match child with
             | Some (slot_off, p) ->
@@ -820,13 +868,13 @@ let insert t rkey payload =
                   { s_lock = h; s_version = v; s_pool = n.pool; s_off = slot_off }
                   p (depth' + 1)
             | None ->
-                if count n < capacity.(ntype n) then begin
+                if hd.count < capacity.(hd.ty) then begin
                   if not (Vlock.try_upgrade h ~gen ~version:v) then raise Restart;
-                  add_child_inplace n b tagged_payload;
+                  add_child_inplace hd b tagged_payload;
                   Vlock.release h ~gen ~version:(v + 1);
                   Inserted
                 end
-                else grow_and_add slot n v b
+                else grow_and_add slot hd v b
           end
     end
   in
@@ -848,13 +896,13 @@ let insert t rkey payload =
 
 (* ---------- delete ---------- *)
 
-(* Remove the child for byte [b] from locked node [n] (present). *)
-let remove_child_inplace n b =
-  let ty = ntype n in
-  let c = count n in
+(* Remove the child for byte [b] (present) from the locked node of
+   head [h], read at the version that was locked. *)
+let remove_child_inplace h b =
+  let n = h.n and ty = h.ty and c = h.count in
   match ty with
   | 0 | 1 ->
-      let rec find i = if key4_16 n i = b then i else find (i + 1) in
+      let rec find i = if key_byte h i = b then i else find (i + 1) in
       let i = find 0 in
       let last = c - 1 in
       if i <> last then begin
@@ -868,9 +916,9 @@ let remove_child_inplace n b =
            route the moved key to the deleted child. *)
         Pobj.write_int n (child_rel ty i) Pptr.null;
         persist n (child_rel ty i) 8;
-        Pobj.write_u8 n (n4_keys + i) (key4_16 n last);
+        Pobj.write_u8 n (n4_keys + i) (key_byte h last);
         persist n (n4_keys + i) 1;
-        Pobj.write_int n (child_rel ty i) (read_child n ty last);
+        Pobj.write_int n (child_rel ty i) (child h last);
         persist n (child_rel ty i) 8
       end;
       set_count n last;
@@ -902,16 +950,15 @@ let delete t rkey =
   (* Remove byte [b] from [n] (whose prefix starts at key depth
      [depth]); if the node underflows, CoW-shrink (or path-compress a
      Node4 with one survivor) and commit via [slot]. *)
-  let remove_and_shrink slot n nv b ~depth =
-    let ty = ntype n in
-    let c = count n in
+  let remove_and_shrink slot hd nv b ~depth =
+    let n = hd.n and ty = hd.ty and c = hd.count in
     let needs_structural = (ty = 0 && c <= 2) || (ty > 0 && c - 1 <= shrink_threshold.(ty)) in
     if not needs_structural then begin
       if not (Vlock.try_upgrade (lockh n) ~gen ~version:nv) then raise Restart;
       let payload =
-        match find_child n b with Some (_, p) -> Pptr.untag p | None -> raise Restart
+        match find_child hd b with Some (_, p) -> Pptr.untag p | None -> raise Restart
       in
-      remove_child_inplace n b;
+      remove_child_inplace hd b;
       Vlock.release (lockh n) ~gen ~version:(nv + 1);
       Some payload
     end
@@ -926,14 +973,14 @@ let delete t rkey =
       let release_node () = Vlock.release_obsolete (lockh n) ~gen ~version:(nv + 1) in
       let old_ptr = read_slot slot in
       let payload =
-        match find_child n b with
+        match find_child hd b with
         | Some (_, p) -> Pptr.untag p
         | None ->
             release_node ();
             release_parent ();
             raise Restart
       in
-      let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list n) in
+      let survivors = List.filter (fun (kb, _) -> kb <> b) (child_list hd) in
       (match survivors with
       | [] ->
           (* Root-only situation: the tree is emptying. *)
@@ -952,11 +999,12 @@ let delete t rkey =
                node.prefix + branch byte + child.prefix. *)
             let child = node_of p in
             let cv = Vlock.acquire (lockh child) ~gen in
-            let node_prefix = full_prefix t n ~depth in
-            let child_depth = depth + plen n + 1 in
-            let child_prefix = full_prefix t child ~depth:child_depth in
+            let ch = read_head child in
+            let node_prefix = full_prefix t hd ~depth in
+            let child_depth = depth + hd.plen + 1 in
+            let child_prefix = full_prefix t ch ~depth:child_depth in
             let merged = node_prefix ^ String.make 1 (Char.chr sb) ^ child_prefix in
-            let copy, _cp, cslot = copy_with_prefix t child ~full:merged ~cut:0 in
+            let copy, _cp, cslot = copy_with_prefix t ch ~full:merged ~cut:0 in
             let cptr_val = Pptr.make ~pool:(Pool.id copy.pool) ~off:copy.off in
             let r1 = log_retire t old_ptr in
             let r2 = log_retire t p in
@@ -970,17 +1018,9 @@ let delete t rkey =
           (* CoW shrink to the next smaller type (or same type for
              Node4 with >1 survivors — cannot happen given the guard). *)
           let new_ty = if ty = 0 then 0 else ty - 1 in
-          let small, sptr, sslot = alloc_node t new_ty in
-          let pl = plen n in
-          let prefix =
-            if pl = 0 then ""
-            else
-              String.init (min pl stored_prefix_max) (fun i ->
-                  Char.chr (stored_prefix_byte n i))
+          let _, sptr, sslot =
+            new_node t new_ty ~prefix_len:hd.plen ~prefix:(stored_prefix hd) survivors
           in
-          init_node t small new_ty ~prefix_len:pl ~prefix;
-          List.iter (fun (kb, p) -> raw_add_child small kb p) survivors;
-          persist_node_image small;
           let rslot = log_retire t old_ptr in
           write_slot slot sptr;
           clear_pending t sslot;
@@ -1008,7 +1048,8 @@ let delete t rkey =
       let n = node_of cur in
       let h = lockh n in
       let v = node_version h ~gen in
-      match compare_prefix t n ~depth rkey with
+      let hd = read_head n in
+      match compare_prefix t hd ~depth rkey with
       | `Diverge _ ->
           check h ~gen v;
           None
@@ -1019,14 +1060,14 @@ let delete t rkey =
           end
           else begin
             let b = byte_at rkey depth' in
-            let child = find_child n b in
+            let child = find_child hd b in
             check h ~gen v;
             match child with
             | None -> None
             | Some (slot_off, p) ->
                 if Pptr.is_tagged p then begin
                   if String.equal (t.key_of_leaf (Pptr.untag p)) rkey then
-                    remove_and_shrink slot n v b ~depth
+                    remove_and_shrink slot hd v b ~depth
                   else None
                 end
                 else
@@ -1048,15 +1089,16 @@ let delete t rkey =
 
 exception Stop
 
-(* Read a node's children consistently (small local retry loop). *)
+(* Read a node's head and children consistently (small local retry
+   loop). *)
 let consistent_children t n =
   let h = lockh n in
   let rec go attempt =
     let v = Vlock.begin_read h ~gen:t.gen in
     if Vlock.is_obsolete v then raise Restart;
-    let cs = child_list n in
-    let pl = plen n in
-    if Vlock.validate h ~gen:t.gen ~version:v then (cs, pl)
+    let hd = read_head n in
+    let cs = child_list hd in
+    if Vlock.validate h ~gen:t.gen ~version:v then (hd, cs)
     else begin
       if attempt > 1000 then raise Restart;
       Des.Sched.delay 100e-9;
@@ -1073,7 +1115,7 @@ let iter_from t rkey f =
   let rec walk_all cur =
     if Pptr.is_tagged cur then emit (Pptr.untag cur)
     else
-      let cs, _ = consistent_children t (node_of cur) in
+      let _, cs = consistent_children t (node_of cur) in
       List.iter (fun (_, p) -> walk_all p) cs
   in
   let rec walk_from cur depth =
@@ -1082,9 +1124,8 @@ let iter_from t rkey f =
       if String.compare (t.key_of_leaf payload) rkey >= 0 then emit payload
     end
     else begin
-      let n = node_of cur in
-      let cs, _pl = consistent_children t n in
-      match compare_prefix t n ~depth rkey with
+      let hd, cs = consistent_children t (node_of cur) in
+      match compare_prefix t hd ~depth rkey with
       | `Diverge (i, full) -> (
           match order_of_divergence rkey ~depth full i with
           | `Before -> List.iter (fun (_, p) -> walk_all p) cs (* subtree > key *)
@@ -1108,6 +1149,10 @@ let iter_from t rkey f =
 
 (* ---------- recovery (§5.1, §5.9) ---------- *)
 
+(* Children of inner node [cur], read without concurrency control
+   (recovery and test walks only). *)
+let children cur = child_list (read_head (node_of cur))
+
 (* Depth-first reachability of [target] (an untagged pointer that may
    be an inner node or a leaf payload). *)
 let reachable t target =
@@ -1116,7 +1161,7 @@ let reachable t target =
     p = target
     ||
     if Pptr.is_tagged cur then false
-    else List.exists (fun (_, c) -> visit c) (child_list (node_of cur))
+    else List.exists (fun (_, c) -> visit c) (children cur)
   in
   let root = read_root t in
   (not (Pptr.is_null root)) && visit root
@@ -1169,18 +1214,33 @@ let reset t =
 let rec subtree_size cur =
   if Pptr.is_tagged cur then 1
   else
-    List.fold_left (fun acc (_, c) -> acc + subtree_size c) 0 (child_list (node_of cur))
+    List.fold_left (fun acc (_, c) -> acc + subtree_size c) 0 (children cur)
 
 let cardinal t =
   let root = read_root t in
   if Pptr.is_null root then 0 else subtree_size root
+
+let node_path t rkey =
+  let rec go cur depth acc =
+    if Pptr.is_null cur || Pptr.is_tagged cur then List.rev acc
+    else begin
+      let h = read_head (node_of cur) in
+      let acc = capacity.(h.ty) :: acc and depth = depth + h.plen in
+      if depth >= String.length rkey then List.rev acc
+      else
+        match find_child h (byte_at rkey depth) with
+        | None -> List.rev acc
+        | Some (_, p) -> go p (depth + 1) acc
+    end
+  in
+  go (read_root t) 0 []
 
 let depth_histogram t =
   let tbl = Hashtbl.create 16 in
   let rec visit cur d =
     if Pptr.is_tagged cur then
       Hashtbl.replace tbl d (1 + Option.value ~default:0 (Hashtbl.find_opt tbl d))
-    else List.iter (fun (_, c) -> visit c (d + 1)) (child_list (node_of cur))
+    else List.iter (fun (_, c) -> visit c (d + 1)) (children cur)
   in
   let root = read_root t in
   if not (Pptr.is_null root) then visit root 0;

@@ -78,6 +78,11 @@ val reset : t -> unit
 (** Number of leaves (test helper; walks the whole trie). *)
 val cardinal : t -> int
 
+(** Capacities (4, 16, 48 or 256) of the inner nodes an exact-match
+    descent for the given radix key visits, root first (test helper;
+    no concurrency control). *)
+val node_path : t -> string -> int list
+
 (** Leaf-depth histogram (test helper). *)
 val depth_histogram : t -> (int, int) Hashtbl.t
 

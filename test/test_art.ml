@@ -392,6 +392,149 @@ let test_art_concurrent_mixed () =
   Alcotest.(check int) "no reader ever missed a preloaded key" 0 !lookup_failures;
   Alcotest.(check int) "final cardinality" 1000 (Art.cardinal ctx.art)
 
+(* Keys whose exact-match path for "KECB" runs through all four node
+   types: 60 first bytes (root Node256), 31 bytes under "K" (Node48),
+   11 under "KE" (Node16) and 4 under "KEC" (Node4). *)
+let four_type_keys =
+  let c i = String.make 1 (Char.chr (65 + i)) in
+  List.init 60 (fun i -> c i ^ "x")
+  @ List.init 30 (fun j -> "K" ^ c j ^ "y")
+  @ List.init 10 (fun k -> "KE" ^ c k ^ "z")
+  @ List.init 3 (fun l -> "KEC" ^ c l)
+
+(* A node visit reads its first line once and decodes type, prefix,
+   key bytes and in-line child slots from that copy; other lines are
+   read only when needed.  Budget per visit: the version read, the
+   head line, the validation, and the further lines the search needs
+   (two child lines for lookup_le's exact and smaller-byte probes,
+   plus one index line for a Node48).  Per-field re-reads of the head
+   cost about twice this. *)
+let test_art_lookup_le_accesses () =
+  let ctx = make_art () in
+  List.iter (fun k -> ignore (insert_key ctx k)) four_type_keys;
+  let rkey = Key.to_radix "KECB" in
+  let path = Art.node_path ctx.art rkey in
+  Alcotest.(check (list int)) "all four node types on the path" [ 256; 48; 16; 4 ] path;
+  (* settle deferred frees of the nodes the inserts grew out of *)
+  for _ = 1 to 4 do
+    ignore (Art.lookup_le ctx.art rkey)
+  done;
+  let accesses () =
+    let s = Machine.stats ctx.machine in
+    s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses
+  in
+  let before = accesses () in
+  let found = Art.lookup_le ctx.art rkey in
+  let used = accesses () - before in
+  Alcotest.(check (option string)) "found" (Some rkey)
+    (Option.map (fun p -> Hashtbl.find ctx.kv_keys (Pptr.off p)) found);
+  let root = 3 (* root lock read, root pointer, validation *) in
+  let budget = List.fold_left (fun acc cap -> acc + if cap = 48 then 6 else 5) root path in
+  if used > budget then
+    Alcotest.failf "lookup_le took %d cache accesses, budget %d for path %s" used budget
+      (String.concat "," (List.map string_of_int path))
+
+(* Readers race inserts that grow nodes through 4 -> 16 -> 48 -> 256
+   and split prefixes (stored and longer than the 16 stored bytes), so
+   node heads are read while copy-on-write replacements publish.  An
+   answer must be the model's answer at some instant of the call:
+   every key whose insert returned before the call is visible, and
+   only keys whose insert began before it returned can appear. *)
+let test_art_readers_race_growth () =
+  let ctx = make_art () in
+  let splits =
+    [ "Pshared-prefix-abc"; "Pshared-prefix-abd"; "Pshared-prefix-q"; "Pshared-pre";
+      "Psh"; "Pshared-prefix-abcX"; "Qabcdefghijklmnopqrstu1"; "Qabcdefghijklmnopqrstu2";
+      "Qabcdefghij0"; "Qabcdefghijklmnopqrst"; "Qa" ]
+  in
+  let keys = Array.of_list (four_type_keys @ splits) in
+  let rng = Des.Rng.create ~seed:11L in
+  for i = Array.length keys - 1 downto 1 do
+    let j = Des.Rng.int rng (i + 1) in
+    let x = keys.(i) in
+    keys.(i) <- keys.(j);
+    keys.(j) <- x
+  done;
+  let started = Hashtbl.create 256 and completed = Hashtbl.create 256 in
+  let preload = 8 in
+  for i = 0 to preload - 1 do
+    ignore (insert_key ctx keys.(i));
+    Hashtbl.replace started keys.(i) ();
+    Hashtbl.replace completed keys.(i) ()
+  done;
+  let sched = Des.Sched.create () in
+  let writers = 4 in
+  for w = 0 to writers - 1 do
+    Des.Sched.spawn sched ~numa:(w mod 2) ~name:(Printf.sprintf "ins%d" w) (fun () ->
+        let i = ref (preload + w) in
+        while !i < Array.length keys do
+          Hashtbl.replace started keys.(!i) ();
+          ignore (insert_key ctx keys.(!i));
+          Hashtbl.replace completed keys.(!i) ();
+          i := !i + writers
+        done)
+  done;
+  let checked = ref 0 in
+  let key_of p = Key.of_radix (Hashtbl.find ctx.kv_keys (Pptr.off p)) in
+  let floor set q =
+    Hashtbl.fold
+      (fun k () acc ->
+        if String.compare (Key.to_radix k) (Key.to_radix q) > 0 then acc
+        else
+          match acc with
+          | Some a when String.compare (Key.to_radix a) (Key.to_radix k) >= 0 -> acc
+          | _ -> Some k)
+      set None
+  in
+  for r = 0 to 3 do
+    Des.Sched.spawn sched ~numa:(r mod 2) ~name:(Printf.sprintf "rd%d" r) (fun () ->
+        let rng = Des.Rng.create ~seed:(Int64.of_int (100 + r)) in
+        for _ = 1 to 300 do
+          let k = keys.(Des.Rng.int rng (Array.length keys)) in
+          let q =
+            match Des.Rng.int rng 3 with
+            | 0 -> k
+            | 1 -> k ^ "~"
+            | _ -> String.sub k 0 (String.length k - 1)
+          in
+          if Des.Rng.int rng 2 = 0 then begin
+            let visible = Hashtbl.mem completed q in
+            let got = Art.lookup ctx.art (Key.to_radix q) in
+            let may = Hashtbl.mem started q in
+            match got with
+            | Some p ->
+                Alcotest.(check string) "exact hit is the key" q (key_of p);
+                if not may then Alcotest.failf "lookup %S: key not inserted yet" q
+            | None -> if visible then Alcotest.failf "lookup %S: inserted key missed" q
+          end
+          else begin
+            let lower = floor (Hashtbl.copy completed) q in
+            let got = Art.lookup_le ctx.art (Key.to_radix q) in
+            match (got, lower) with
+            | None, None -> ()
+            | None, Some l -> Alcotest.failf "lookup_le %S: None, but %S was visible" q l
+            | Some p, _ ->
+                let g = key_of p in
+                if String.compare (Key.to_radix g) (Key.to_radix q) > 0 then
+                  Alcotest.failf "lookup_le %S returned larger key %S" q g;
+                if not (Hashtbl.mem started g) then
+                  Alcotest.failf "lookup_le %S returned %S before its insert" q g;
+                (match lower with
+                | Some l when String.compare (Key.to_radix g) (Key.to_radix l) < 0 ->
+                    Alcotest.failf "lookup_le %S returned %S below visible %S" q g l
+                | _ -> ())
+          end;
+          incr checked
+        done)
+  done;
+  Des.Sched.run sched;
+  Alcotest.(check int) "all reads checked" 1200 !checked;
+  Alcotest.(check int) "all inserted" (Array.length keys) (Art.cardinal ctx.art);
+  Alcotest.(check (list int)) "grew through every node type" [ 256; 48; 16; 4 ]
+    (Art.node_path ctx.art (Key.to_radix "KECB"));
+  Alcotest.(check bool) "copy-on-write replacements happened" true
+    ((Art.stats ctx.art).Art.retires > 0)
+
 let test_art_crash_recovery_persists_inserts () =
   let ctx = make_art () in
   let n = 300 in
@@ -464,6 +607,10 @@ let suite =
     QCheck_alcotest.to_alcotest test_art_qcheck_model;
     Alcotest.test_case "art: concurrent inserts" `Quick test_art_concurrent_inserts;
     Alcotest.test_case "art: concurrent mixed" `Quick test_art_concurrent_mixed;
+    Alcotest.test_case "art: lookup_le reads each node line once" `Quick
+      test_art_lookup_le_accesses;
+    Alcotest.test_case "art: readers race node growth and prefix splits" `Quick
+      test_art_readers_race_growth;
     Alcotest.test_case "art: crash + recovery (strict)" `Quick
       test_art_crash_recovery_persists_inserts;
     Alcotest.test_case "art: crash + recovery (flaky)" `Quick test_art_crash_mid_run_flaky;
