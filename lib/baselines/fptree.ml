@@ -117,7 +117,7 @@ let lookup t key =
   let rec read attempt =
     if attempt > 10_000 then failwith "FPTree: read livelock";
     let v = Vlock.begin_read h ~gen:t.gen in
-    let r = Node.find t.lay leaf key in
+    let r = Node.find t.lay leaf (Node.read_head leaf).bitmap key in
     if Vlock.validate h ~gen:t.gen ~version:v then Option.map snd r
     else read (attempt + 1)
   in
@@ -127,7 +127,7 @@ let lookup t key =
    split micro-log entry brackets the operation (FPTree's crash
    consistency for SMOs); the internal update happens while the leaf
    lock is held. *)
-let split_leaf t leaf key =
+let split_leaf t leaf (hd : Node.head) key =
   (* micro-log: leaf being split *)
   Pool.write_int t.meta off_log (Node.to_ptr leaf);
   Pool.persist t.meta off_log 8;
@@ -139,7 +139,7 @@ let split_leaf t leaf key =
     Heap.alloc_to t.heap ~size:t.lay.Node.node_size ~dest_pool:t.meta ~dest_off:(off_log + 8) ()
   in
   let nleaf = Node.of_ptr ptr in
-  Node.init t.lay nleaf ~gen:t.gen ~anchor:median ~next:(Node.next leaf) ~prev:Pptr.null;
+  Node.init t.lay nleaf ~gen:t.gen ~anchor:median ~next:hd.next ~prev:Pptr.null;
   Node.copy_into t.lay ~src:leaf ~dst:nleaf move;
   Pool.persist nleaf.Node.pool nleaf.Node.off t.lay.Node.node_size;
   Node.set_next leaf ptr;
@@ -160,20 +160,23 @@ let rec locked_leaf t key attempt =
   let h = Node.lock_handle leaf in
   let wv = Vlock.acquire h ~gen:t.gen in
   (* the leaf may have split between traversal and lock *)
-  let nxt = Node.next leaf in
+  let hd = Node.read_head leaf in
   let still_covers =
-    Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr nxt) key > 0
+    Pptr.is_null hd.next
+    ||
+    let nxt = Node.of_ptr hd.next in
+    Node.compare_anchor nxt (Node.read_head nxt) key > 0
   in
-  if still_covers then (leaf, wv)
+  if still_covers then (leaf, wv, hd)
   else begin
     Vlock.release h ~gen:t.gen ~version:wv;
     locked_leaf t key (attempt + 1)
   end
 
 let insert t key value =
-  let leaf, wv = locked_leaf t key 0 in
+  let leaf, wv, hd = locked_leaf t key 0 in
   let release l v = Vlock.release (Node.lock_handle l) ~gen:t.gen ~version:v in
-  match Node.find t.lay leaf key with
+  match Node.find t.lay leaf hd.bitmap key with
   | Some _ ->
       ignore (Node.update t.lay leaf key value);
       release leaf wv
@@ -183,7 +186,7 @@ let insert t key value =
           t.cardinal_estimate <- t.cardinal_estimate + 1;
           release leaf wv
       | Node.Full ->
-          let target = split_leaf t leaf key in
+          let target = split_leaf t leaf hd key in
           if Node.equal target leaf then begin
             (match Node.insert t.lay leaf key value with
             | Node.Ok -> ()
@@ -204,13 +207,13 @@ let insert t key value =
       | Node.Absent -> assert false)
 
 let update t key value =
-  let leaf, wv = locked_leaf t key 0 in
+  let leaf, wv, _ = locked_leaf t key 0 in
   let r = Node.update t.lay leaf key value in
   Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv;
   r = Node.Ok
 
 let delete t key =
-  let leaf, wv = locked_leaf t key 0 in
+  let leaf, wv, _ = locked_leaf t key 0 in
   let r = Node.delete t.lay leaf key in
   if r = Node.Ok then t.cardinal_estimate <- t.cardinal_estimate - 1;
   Vlock.release (Node.lock_handle leaf) ~gen:t.gen ~version:wv;
@@ -226,6 +229,7 @@ let scan t key n_wanted =
       let leaf = Node.of_ptr ptr in
       let h = Node.lock_handle leaf in
       let v = Vlock.begin_read h ~gen:t.gen in
+      let nxt = (Node.read_head leaf).next in
       let sorted = Node.sorted_live t.lay leaf in
       let batch = ref [] and n = ref 0 in
       List.iter
@@ -238,7 +242,6 @@ let scan t key n_wanted =
             incr n
           end)
         sorted;
-      let nxt = Node.next leaf in
       if Vlock.validate h ~gen:t.gen ~version:v then begin
         acc := !batch @ !acc;
         taken := !taken + !n;
@@ -268,13 +271,14 @@ let recover t =
   let logged = Pool.read_int t.meta off_log in
   if logged <> 0 then begin
     let old_leaf = Node.of_ptr logged in
-    let nxt = Node.next old_leaf in
+    let nxt = (Node.read_head old_leaf).next in
     if not (Pptr.is_null nxt) then begin
       let nleaf = Node.of_ptr nxt in
+      let nhd = Node.read_head nleaf in
       let stale =
         List.filter_map
           (fun (k, slot) ->
-            if Node.compare_anchor nleaf k <= 0 then Some slot else None)
+            if Node.compare_anchor nleaf nhd k <= 0 then Some slot else None)
           (Node.sorted_live t.lay old_leaf)
       in
       if stale <> [] then Node.clear_slots old_leaf stale
@@ -287,10 +291,10 @@ let recover t =
   let rec walk ptr =
     if not (Pptr.is_null ptr) then begin
       let leaf = Node.of_ptr ptr in
-      let sep = Node.anchor t.lay leaf in
-      t.internals <- Smap.add sep ptr t.internals;
+      let hd = Node.read_head leaf in
+      t.internals <- Smap.add (Node.anchor leaf hd) ptr t.internals;
       t.cardinal_estimate <- t.cardinal_estimate + Node.live_count leaf;
-      walk (Node.next leaf)
+      walk hd.next
     end
   in
   walk (Pool.read_int t.meta off_head)
@@ -301,7 +305,7 @@ let check_invariants t =
     else begin
       let leaf = Node.of_ptr ptr in
       let keys = List.map fst (Node.sorted_live t.lay leaf) in
-      walk (Node.next leaf) (acc @ keys)
+      walk (Node.read_head leaf).next (acc @ keys)
     end
   in
   let all = walk (Pool.read_int t.meta off_head) [] in

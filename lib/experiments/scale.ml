@@ -17,7 +17,10 @@ type t = {
 let capacities keys =
   (* sized for the string layout (4KB data-node class, half-occupancy
      after splits, plus the run phase's fresh inserts), with room for
-     the out-of-node records of the baselines.  This is a reservation
+     the out-of-node records of the baselines.  A block of 256 B or
+     more starts on an XPLine, behind its 8-byte class header, so it
+     takes its class size + 256 bytes of pool: 4352 B per string data
+     node, 1792 B per integer one.  This is a reservation
      per NUMA pool: a heap gives each of its [numa_pools] pools the
      full size (480 B/key, so 960 B/key on two domains), and PACTree
      adds one 2 MiB SMO-log pool per domain.  Pools are paged and

@@ -36,11 +36,15 @@ let off_kv = Layout.seal hdr
 
 let off_lock = Layout.off f_lock
 
+let off_bitmap = Layout.off f_bitmap
+
 let off_next = Layout.off f_next
 
 let off_prev = Layout.off f_prev
 
 let off_deleted = Layout.off f_deleted
+
+let off_anchor_len = Layout.off f_anchor_len
 
 let off_fingerprints = Layout.off f_fingerprints
 
@@ -71,31 +75,46 @@ let equal a b = Pool.id a.pool = Pool.id b.pool && a.off = b.off
 
 let lock_handle t = { Vlock.pool = t.pool; off = t.off + off_lock }
 
-let bitmap t = Pobj.get_i64 t f_bitmap
+(* The header fields a reader needs all sit in the node's first line.
+   The heap places a node on an XPLine, so that line, the fingerprint
+   line and the anchor line are one media access unit.  A visit reads
+   the first line with one [Pobj] call (one charged access, like
+   [Art.read_head]) and decodes every field from the host copy; the
+   stores below stay per field. *)
+type head = {
+  bitmap : int64;
+  next : Pptr.t;
+  prev : Pptr.t;
+  deleted : bool;
+  anchor_len : int;
+}
+
+let line_size = 64
+
+let read_head t =
+  let l0 = Bytes.create line_size in
+  Pobj.blit_to_bytes t 0 l0 0 line_size;
+  let word off = Int64.to_int (Bytes.get_int64_le l0 off) in
+  {
+    bitmap = Bytes.get_int64_le l0 off_bitmap;
+    next = word off_next;
+    prev = word off_prev;
+    deleted = word off_deleted <> 0;
+    anchor_len = word off_anchor_len;
+  }
 
 let set_bitmap t bm = Pobj.set_i64 t f_bitmap bm
 
-let next t = Pobj.get_int t f_next
-
 let set_next t p = Pobj.set_int t f_next p
-
-let prev t = Pobj.get_int t f_prev
 
 let set_prev t p = Pobj.set_int t f_prev p
 
-let is_deleted t = Pobj.get_int t f_deleted <> 0
-
 let set_deleted t flag = Pobj.set_int t f_deleted (Bool.to_int flag)
 
-let anchor lay t =
-  ignore lay;
-  let len = Pobj.get_int t f_anchor_len in
-  Pobj.read_string t off_anchor len
+let anchor t hd = Pobj.read_string t off_anchor hd.anchor_len
 
-(* Allocation-free [compare (anchor t) k]. *)
-let compare_anchor t k =
-  let len = Pobj.get_int t f_anchor_len in
-  Pobj.compare_string t off_anchor len k
+(* Allocation-free [compare (anchor t hd) k]. *)
+let compare_anchor t hd k = Pobj.compare_string t off_anchor hd.anchor_len k
 
 let init lay t ~gen ~anchor ~next ~prev =
   Pobj.fill_zero t 0 lay.node_size;
@@ -138,14 +157,12 @@ let set_entry lay t slot key v =
   end;
   Pobj.write_u8 t (off_fingerprints + slot) (Fingerprint.of_key key)
 
-let _fingerprint_at t slot = Pobj.read_u8 t (off_fingerprints + slot)
-
 let bit slot = Int64.shift_left 1L slot
 
 let test_bit bm slot = Int64.logand bm (bit slot) <> 0L
 
 let live_count t =
-  let bm = bitmap t in
+  let bm = (read_head t).bitmap in
   let rec go acc i =
     if i >= entries then acc else go (if test_bit bm i then acc + 1 else acc) (i + 1)
   in
@@ -157,26 +174,36 @@ let first_empty bm =
   in
   go 0
 
-let find lay t k =
+(* Does the entry copied into [e] hold key [k]? *)
+let entry_has_key lay e k =
+  let pos, len = if lay.inline = 8 then (8, 8) else (9, Bytes.get_uint8 e 8) in
+  len = String.length k
+  &&
+  let rec same i = i >= len || (Bytes.get e (pos + i) = k.[i] && same (i + 1)) in
+  same 0
+
+let find lay t bm k =
   Obs.Span.with_phase Obs.Span.Dnode_scan @@ fun () ->
-  let bm = bitmap t in
   let fp = Fingerprint.of_key k in
   (* one cache access covers the whole fingerprint line (the AVX512
      match of the paper, §5.2) *)
   let fps = Pobj.read_string t off_fingerprints entries in
+  (* a candidate slot is read whole, once: key and value come from the
+     same copy *)
+  let e = Bytes.create lay.stride in
   let rec go slot =
     if slot >= entries then None
-    else if
-      test_bit bm slot
-      && Char.code (String.unsafe_get fps slot) = fp
-      && compare_key_at lay t slot k = 0
-    then Some (slot, value_at lay t slot)
+    else if test_bit bm slot && Char.code (String.unsafe_get fps slot) = fp then begin
+      Pobj.blit_to_bytes t (entry_off lay slot) e 0 lay.stride;
+      if entry_has_key lay e k then Some (slot, Int64.to_int (Bytes.get_int64_le e 0))
+      else go (slot + 1)
+    end
     else go (slot + 1)
   in
   go 0
 
 let live_entries lay t =
-  let bm = bitmap t in
+  let bm = (read_head t).bitmap in
   let rec go acc slot =
     if slot < 0 then acc
     else
@@ -186,7 +213,7 @@ let live_entries lay t =
   go [] (entries - 1)
 
 let sorted_live lay t =
-  let bm = bitmap t in
+  let bm = (read_head t).bitmap in
   let rec collect acc slot =
     if slot < 0 then acc
     else
@@ -239,7 +266,7 @@ let maybe_persist_perm lay t =
 
 let insert lay t k v =
   Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  let bm = bitmap t in
+  let bm = (read_head t).bitmap in
   match first_empty bm with
   | None -> Full
   | Some slot ->
@@ -252,20 +279,21 @@ let insert lay t k v =
 
 let delete lay t k =
   Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  match find lay t k with
+  let bm = (read_head t).bitmap in
+  match find lay t bm k with
   | None -> Absent
   | Some (slot, _) ->
-      set_bitmap t (Int64.logand (bitmap t) (Int64.lognot (bit slot)));
+      set_bitmap t (Int64.logand bm (Int64.lognot (bit slot)));
       persist_bitmap t;
       maybe_persist_perm lay t;
       Ok
 
 let update lay t k v =
   Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
-  match find lay t k with
+  let bm = (read_head t).bitmap in
+  match find lay t bm k with
   | None -> Absent
   | Some (old_slot, _) -> (
-      let bm = bitmap t in
       match first_empty bm with
       | Some slot ->
           (* Out-of-place: persist the new pair, then one atomic
@@ -311,7 +339,9 @@ let copy_into lay ~src ~dst pairs =
 
 let clear_slots t slots =
   let bm =
-    List.fold_left (fun acc s -> Int64.logand acc (Int64.lognot (bit s))) (bitmap t) slots
+    List.fold_left
+      (fun acc s -> Int64.logand acc (Int64.lognot (bit s)))
+      (read_head t).bitmap slots
   in
   set_bitmap t bm;
   persist_bitmap t
@@ -319,7 +349,7 @@ let clear_slots t slots =
 let absorb lay ~src ~dst =
   Obs.Span.with_phase Obs.Span.Dnode_insert @@ fun () ->
   let pairs = live_entries lay src in
-  let bm = ref (bitmap dst) in
+  let bm = ref (read_head dst).bitmap in
   let added = ref [] in
   List.iter
     (fun (key, v) ->

@@ -44,25 +44,34 @@ val equal : t -> t -> bool
 
 val lock_handle : t -> Vlock.handle
 
-val bitmap : t -> int64
+(** The header fields of the node's first cache line, decoded from one
+    read. *)
+type head = {
+  bitmap : int64;  (** valid bitmap *)
+  next : Pmalloc.Pptr.t;
+  prev : Pmalloc.Pptr.t;
+  deleted : bool;  (** logically deleted by a merge *)
+  anchor_len : int;
+}
 
-val next : t -> Pmalloc.Pptr.t
+(** [read_head t] reads the first line with one access.  It is the
+    only way to read these fields; an optimistic reader takes it after
+    [Vlock.begin_read] and trusts it once the version validates. *)
+val read_head : t -> head
 
 (** [set_next] is an 8B atomic store; caller persists. *)
 val set_next : t -> Pmalloc.Pptr.t -> unit
 
-val prev : t -> Pmalloc.Pptr.t
-
 val set_prev : t -> Pmalloc.Pptr.t -> unit
-
-val is_deleted : t -> bool
 
 val set_deleted : t -> bool -> unit
 
-val anchor : layout -> t -> Key.t
+(** [anchor t hd] reads the anchor key ([hd] = [read_head t]). *)
+val anchor : t -> head -> Key.t
 
-(** [compare_anchor t k] = [compare (anchor t) k], allocation-free. *)
-val compare_anchor : t -> Key.t -> int
+(** [compare_anchor t hd k] = [compare (anchor t hd) k],
+    allocation-free. *)
+val compare_anchor : t -> head -> Key.t -> int
 
 (** Offsets for targeted persistence by {!Tree}. *)
 val off_next : int
@@ -84,9 +93,10 @@ val key_at : layout -> t -> int -> Key.t
 
 val value_at : layout -> t -> int -> int
 
-(** Fingerprint-guided point lookup among live slots. *)
-val find : layout -> t -> Key.t -> (int * int) option
-(** [find lay t k] is [Some (slot, value)]. *)
+(** [find lay t bitmap k] is [Some (slot, value)] when a slot live in
+    [bitmap] holds [k].  It reads the fingerprint line once and each
+    fingerprint-matching slot once, whole. *)
+val find : layout -> t -> int64 -> Key.t -> (int * int) option
 
 val live_count : t -> int
 

@@ -91,6 +91,8 @@ let stats t = t.stats
 
 let art_stats t = Art.stats t.art
 
+let search_layer t = t.art
+
 let jump_histogram t = Array.copy t.jump_hist
 
 let create machine ?(cfg = default_config) () =
@@ -125,7 +127,10 @@ let create machine ?(cfg = default_config) () =
   let lay =
     Node.layout ~persist_perm:(not cfg.selective_persistence) ~key_inline:cfg.key_inline ()
   in
-  let key_of_leaf ptr = Key.to_radix (Node.anchor lay (Node.of_ptr ptr)) in
+  let key_of_leaf ptr =
+    let n = Node.of_ptr ptr in
+    Key.to_radix (Node.anchor n (Node.read_head n))
+  in
   let epoch = Epoch.create () in
   let art = Art.create ~heap:search_heap ~meta ~epoch ~key_of_leaf in
   let t =
@@ -188,7 +193,9 @@ exception Lost
 
 (* From the search-layer jump node, walk sibling pointers until the
    node whose [anchor, next.anchor) range covers [key].  Unsynchronised
-   search layers only cost extra hops (ephemeral inconsistency). *)
+   search layers only cost extra hops (ephemeral inconsistency).  Each
+   visited node's header is read once; the head read to check a
+   successor's anchor is the one the walk continues with. *)
 let locate t key =
   let rkey = Key.to_radix key in
   let jump =
@@ -196,64 +203,38 @@ let locate t key =
     | Some p -> Node.of_ptr p
     | None -> head_node t
   in
-  let rec walk node hops =
+  let rec walk node (hd : Node.head) hops =
+    let back () =
+      let p = Node.of_ptr hd.prev in
+      walk p (Node.read_head p) (hops + 1)
+    in
     if hops >= 1000 then raise Lost
-    else if Node.is_deleted node then walk (Node.of_ptr (Node.prev node)) (hops + 1)
-    else if Node.compare_anchor node key > 0 then
-      walk (Node.of_ptr (Node.prev node)) (hops + 1)
+    else if hd.deleted || Node.compare_anchor node hd key > 0 then back ()
+    else if Pptr.is_null hd.next then (node, hops)
     else begin
-      let nxt = Node.next node in
-      if (not (Pptr.is_null nxt)) && Node.compare_anchor (Node.of_ptr nxt) key <= 0 then
-        walk (Node.of_ptr nxt) (hops + 1)
-      else (node, hops)
+      let nxt = Node.of_ptr hd.next in
+      let nhd = Node.read_head nxt in
+      if Node.compare_anchor nxt nhd key <= 0 then walk nxt nhd (hops + 1) else (node, hops)
     end
   in
-  let node, hops = Obs.Span.with_phase Obs.Span.Dnode_scan (fun () -> walk jump 0) in
+  let node, hops =
+    Obs.Span.with_phase Obs.Span.Dnode_scan (fun () -> walk jump (Node.read_head jump) 0)
+  in
   let bucket = min hops (Array.length t.jump_hist - 1) in
   t.jump_hist.(bucket) <- t.jump_hist.(bucket) + 1;
   node
 
-(* Is [node], under its current state, the right home for [key]? *)
-let covers node key =
-  (not (Node.is_deleted node))
-  && Node.compare_anchor node key <= 0
-  &&
-  let nxt = Node.next node in
-  Pptr.is_null nxt || Node.compare_anchor (Node.of_ptr nxt) key > 0
+(* Is [node], whose header read [hd], the right home for [key]? *)
+let covers node (hd : Node.head) key =
+  (not hd.deleted)
+  && Node.compare_anchor node hd key <= 0
+  && (Pptr.is_null hd.next
+     ||
+     let nxt = Node.of_ptr hd.next in
+     Node.compare_anchor nxt (Node.read_head nxt) key > 0)
 
-(* Optimistic read of the target node: [f] must be read-only; its
-   result is returned once the version validates.  (Kept for scans /
-   future read operations; [lookup] has a specialised fast path.) *)
-let _with_reader t key f =
-  Epoch.enter t.epoch;
-  Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let rec attempt n =
-    if n > 10_000 then failwith "Tree: reader livelock";
-    match locate t key with
-    | exception Lost ->
-        t.stats.reader_retries <- t.stats.reader_retries + 1;
-        Des.Sched.delay 100e-9;
-        attempt (n + 1)
-    | node ->
-        let h = Node.lock_handle node in
-        let v = Vlock.begin_read h ~gen:t.gen in
-        if not (covers node key) then begin
-          t.stats.reader_retries <- t.stats.reader_retries + 1;
-          Des.Sched.delay 50e-9;
-          attempt (n + 1)
-        end
-        else begin
-          let r = f node in
-          if Vlock.validate h ~gen:t.gen ~version:v then r
-          else begin
-            t.stats.reader_retries <- t.stats.reader_retries + 1;
-            attempt (n + 1)
-          end
-        end
-  in
-  attempt 0
-
-(* Write-lock the target node (§5.5: all writes lock, work, release). *)
+(* Write-lock the target node (§5.5: all writes lock, work, release).
+   Returns the header read under the lock. *)
 let locked_target t key =
   let rec attempt n =
     if n > 10_000 then failwith "Tree: writer livelock";
@@ -264,7 +245,8 @@ let locked_target t key =
     | node ->
         let h = Node.lock_handle node in
         let wv = Vlock.acquire h ~gen:t.gen in
-        if covers node key then (node, wv)
+        let hd = Node.read_head node in
+        if covers node hd key then (node, wv, hd)
         else begin
           Vlock.release h ~gen:t.gen ~version:wv;
           Des.Sched.delay 50e-9;
@@ -324,7 +306,7 @@ let enqueue_smo t e =
 
 let persist_field node rel = Pobj.persist node rel 8
 
-let split_and_insert t node wv key value =
+let split_and_insert t node (hd : Node.head) wv key value =
   Obs.Span.with_phase Obs.Span.Smo @@ fun () ->
   t.stats.splits <- t.stats.splits + 1;
   let sorted = Node.sorted_live t.lay node in
@@ -339,7 +321,7 @@ let split_and_insert t node wv key value =
   let new_ptr = Heap.alloc_to t.data_heap ~size:t.lay.Node.node_size ~dest_pool ~dest_off () in
   let nnode = Node.of_ptr new_ptr in
   (* 3. Build and persist the new node before publishing it. *)
-  let old_next = Node.next node in
+  let old_next = hd.next in
   Node.init t.lay nnode ~gen:t.gen ~anchor ~next:old_next ~prev:(Node.to_ptr node);
   Node.copy_into t.lay ~src:node ~dst:nnode move;
   Pobj.persist nnode 0 t.lay.Node.node_size;
@@ -376,9 +358,9 @@ let split_and_insert t node wv key value =
 
 let merge_threshold = Node.entries / 2
 
-let try_merge t node =
+let try_merge t node (hd : Node.head) =
   Obs.Span.with_phase Obs.Span.Smo @@ fun () ->
-  let nxt = Node.next node in
+  let nxt = hd.next in
   if Pptr.is_null nxt then false
   else begin
     let rn = Node.of_ptr nxt in
@@ -388,7 +370,8 @@ let try_merge t node =
     else begin
       t.stats.merges <- t.stats.merges + 1;
       let rwv = Vlock.acquire (Node.lock_handle rn) ~gen:t.gen in
-      let anchor = Node.anchor t.lay rn in
+      let rhd = Node.read_head rn in
+      let anchor = Node.anchor rn rhd in
       let ts = next_ts t in
       let e =
         Smo_log.append t.log ~ts
@@ -399,7 +382,7 @@ let try_merge t node =
       (* Logical deletion, then unlink. *)
       Node.set_deleted rn true;
       persist_field rn Node.off_deleted;
-      let rnn = Node.next rn in
+      let rnn = rhd.next in
       Node.set_next node rnn;
       persist_field node Node.off_next;
       if not (Pptr.is_null rnn) then begin
@@ -416,11 +399,17 @@ let try_merge t node =
 (* ---------- public operations ---------- *)
 
 (* Lookup fast path (§5.3): go straight to the search layer's jump
-   node and search it.  Every live key exists in exactly one data
-   node, so a validated hit needs no range check at all — in the
-   common case the lookup touches no sibling.  Only a miss (or a jump
-   node that does not cover the key) falls back to the bounds check
-   and the sibling walk. *)
+   node and search it.  A hit that validates needs no range check:
+   - a node only ever holds keys at or above its anchor and below its
+     successor's (a split keeps the old node locked until it has
+     cleared the moved slots);
+   - a node merged away is marked deleted under its lock before it is
+     unlocked, and its stale slots stay behind that mark.
+   So a node read not-deleted at a version that validates held the key
+   live at that instant, and a hit reads the version, the header line,
+   the fingerprint line, the entry and the version again — no anchor,
+   no sibling.  Only a miss (or a deleted node) checks the bounds
+   ([covers] reads both anchors) and falls back to the sibling walk. *)
 let lookup t key =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
@@ -434,26 +423,25 @@ let lookup t key =
     in
     let try_node node ~direct =
       let h = Node.lock_handle node in
-      let v = Vlock.begin_read h ~gen:t.gen in
-      if direct && (Node.is_deleted node || Node.compare_anchor node key > 0) then
-        (* the jump node cannot host the key: take the walking path *)
-        attempt n ~use_jump:false
-      else begin
-        match Node.find t.lay node key with
+      let v, hd =
+        Obs.Span.with_phase Obs.Span.Dnode_scan (fun () ->
+            let v = Vlock.begin_read h ~gen:t.gen in
+            (v, Node.read_head node))
+      in
+      (* this node cannot answer: walk from the jump node, or walk again *)
+      let elsewhere () = if direct then attempt n ~use_jump:false else retry () in
+      let answer r =
+        if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
+        r
+      in
+      if hd.deleted then elsewhere ()
+      else
+        match Node.find t.lay node hd.bitmap key with
         | Some (_, value) ->
-            if Vlock.validate h ~gen:t.gen ~version:v then begin
-              if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-              Some value
-            end
-            else retry ()
+            if Vlock.validate h ~gen:t.gen ~version:v then answer (Some value) else retry ()
         | None ->
-            if covers node key && Vlock.validate h ~gen:t.gen ~version:v then begin
-              if direct then t.jump_hist.(0) <- t.jump_hist.(0) + 1;
-              None
-            end
-            else if direct then attempt n ~use_jump:false
-            else retry ()
-      end
+            if covers node hd key && Vlock.validate h ~gen:t.gen ~version:v then answer None
+            else elsewhere ()
     in
     if use_jump then begin
       match Art.lookup_le t.art rkey with
@@ -471,8 +459,8 @@ let lookup t key =
 let insert t key value =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let node, wv = locked_target t key in
-  match Node.find t.lay node key with
+  let node, wv, hd = locked_target t key in
+  match Node.find t.lay node hd.bitmap key with
   | Some _ ->
       (match Node.update t.lay node key value with
       | Node.Ok -> ()
@@ -481,13 +469,13 @@ let insert t key value =
   | None -> (
       match Node.insert t.lay node key value with
       | Node.Ok -> release t node wv
-      | Node.Full -> split_and_insert t node wv key value
+      | Node.Full -> split_and_insert t node hd wv key value
       | Node.Absent -> assert false)
 
 let update t key value =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let node, wv = locked_target t key in
+  let node, wv, _ = locked_target t key in
   let r = Node.update t.lay node key value in
   release t node wv;
   r = Node.Ok
@@ -495,27 +483,27 @@ let update t key value =
 (* Merge [node] into its left neighbour (fresh left-then-right lock
    acquisition, so lock order stays left-to-right). *)
 let try_merge_left t node_ptr =
-  let node = Node.of_ptr node_ptr in
-  let p = Node.prev node in
+  let p = (Node.read_head (Node.of_ptr node_ptr)).prev in
   if not (Pptr.is_null p) then begin
     let pnode = Node.of_ptr p in
     let h = Node.lock_handle pnode in
     let wv = Vlock.acquire h ~gen:t.gen in
-    if (not (Node.is_deleted pnode)) && Pptr.equal (Node.next pnode) node_ptr then
-      ignore (try_merge t pnode);
+    let phd = Node.read_head pnode in
+    if (not phd.deleted) && Pptr.equal phd.next node_ptr then ignore (try_merge t pnode phd);
     Vlock.release h ~gen:t.gen ~version:wv
   end
 
 let delete t key =
   Epoch.enter t.epoch;
   Fun.protect ~finally:(fun () -> Epoch.exit t.epoch) @@ fun () ->
-  let node, wv = locked_target t key in
+  let node, wv, hd = locked_target t key in
   match Node.delete t.lay node key with
   | Node.Absent ->
       release t node wv;
       false
   | Node.Ok ->
-      let merged_right = try_merge t node in
+      (* [hd.next] is stable while [node] is locked *)
+      let merged_right = try_merge t node hd in
       let small = 2 * Node.live_count node < merge_threshold in
       release t node wv;
       if (not merged_right) && small then try_merge_left t (Node.to_ptr node);
@@ -535,9 +523,10 @@ let scan t key count =
     else begin
       let h = Node.lock_handle node in
       let v = Vlock.begin_read h ~gen:t.gen in
-      if Node.is_deleted node then
+      let hd = Node.read_head node in
+      if hd.deleted then
         (* jump to the surviving left node *)
-        scan_node (Node.of_ptr (Node.prev node)) low (attempt + 1)
+        scan_node (Node.of_ptr hd.prev) low (attempt + 1)
       else begin
         let batch = ref [] and batch_n = ref 0 in
         let budget = count - !taken in
@@ -547,7 +536,7 @@ let scan t key count =
           !batch_n < budget
         in
         ignore (Node.scan_from t.lay node low ~f:keep);
-        let nxt = Node.next node in
+        let nxt = hd.next in
         if Vlock.validate h ~gen:t.gen ~version:v then begin
           (* [batch] is newest-first; keep [acc] globally newest-first *)
           acc := !batch @ !acc;
@@ -634,10 +623,11 @@ let recover_split t e left anchor =
     let nnode = Node.of_ptr new_ptr in
     (* The link is written only after the new node is fully persisted,
        so a missing link means we must rebuild the new node. *)
-    if not (Pptr.equal (Node.next node) new_ptr) then begin
+    let hd = Node.read_head node in
+    if not (Pptr.equal hd.next new_ptr) then begin
       let sorted = Node.sorted_live t.lay node in
       let move = List.filter (fun (k, _) -> Key.compare k anchor >= 0) sorted in
-      let old_next = Node.next node in
+      let old_next = hd.next in
       Node.init t.lay nnode ~gen:t.gen ~anchor ~next:old_next ~prev:left;
       Node.copy_into t.lay ~src:node ~dst:nnode move;
       Pobj.persist nnode 0 t.lay.Node.node_size;
@@ -652,10 +642,10 @@ let recover_split t e left anchor =
     in
     if stale <> [] then Node.clear_slots node stale;
     (* Fix the right neighbour's prev pointer. *)
-    let rn = Node.next nnode in
+    let rn = (Node.read_head nnode).next in
     if not (Pptr.is_null rn) then begin
       let rn_node = Node.of_ptr rn in
-      if not (Pptr.equal (Node.prev rn_node) new_ptr) then begin
+      if not (Pptr.equal (Node.read_head rn_node).prev new_ptr) then begin
         Node.set_prev rn_node new_ptr;
         persist_field rn_node Node.off_prev
       end
@@ -674,23 +664,24 @@ let recover_merge t e left right anchor =
      ranges are disjoint, so membership is the completion test). *)
   List.iter
     (fun (k, v) ->
-      if Node.find t.lay node k = None then
+      if Node.find t.lay node (Node.read_head node).bitmap k = None then
         match Node.insert t.lay node k v with
         | Node.Ok -> ()
         | Node.Full | Node.Absent -> assert false)
     (Node.live_entries t.lay rn);
-  if not (Node.is_deleted rn) then begin
+  let rhd = Node.read_head rn in
+  if not rhd.deleted then begin
     Node.set_deleted rn true;
     persist_field rn Node.off_deleted
   end;
-  if Pptr.equal (Node.next node) right then begin
-    Node.set_next node (Node.next rn);
+  let rnn = rhd.next in
+  if Pptr.equal (Node.read_head node).next right then begin
+    Node.set_next node rnn;
     persist_field node Node.off_next
   end;
-  let rnn = Node.next rn in
   if not (Pptr.is_null rnn) then begin
     let rnn_node = Node.of_ptr rnn in
-    if Pptr.equal (Node.prev rnn_node) right then begin
+    if Pptr.equal (Node.read_head rnn_node).prev right then begin
       Node.set_prev rnn_node left;
       persist_field rnn_node Node.off_prev
     end
@@ -707,9 +698,9 @@ let rebuild_search_layer t =
   let rec go ptr =
     if not (Pptr.is_null ptr) then begin
       let node = Node.of_ptr ptr in
-      if not (Node.is_deleted node) then
-        ignore (Art.insert t.art (Key.to_radix (Node.anchor t.lay node)) ptr);
-      go (Node.next node)
+      let hd = Node.read_head node in
+      if not hd.deleted then ignore (Art.insert t.art (Key.to_radix (Node.anchor node hd)) ptr);
+      go hd.next
     end
   in
   go (Pobj.read_int (Pobj.make t.meta 0) off_head)
@@ -759,16 +750,20 @@ let check_invariants t =
     if Pptr.is_null ptr then nodes
     else begin
       let node = Node.of_ptr ptr in
-      if Node.is_deleted node then fail "reachable node is marked deleted";
-      let anchor = Node.anchor t.lay node in
+      let hd = Node.read_head node in
+      if hd.deleted then fail "reachable node is marked deleted";
+      let anchor = Node.anchor node hd in
       (match last_anchor with
       | Some a when Key.compare a anchor >= 0 ->
           fail "anchors not strictly increasing at %s" anchor
       | _ -> ());
-      if not (Pptr.equal (Node.prev node) prev_ptr) then fail "prev pointer mismatch";
-      let nxt = Node.next node in
+      if not (Pptr.equal hd.prev prev_ptr) then fail "prev pointer mismatch";
+      let nxt = hd.next in
       let upper =
-        if Pptr.is_null nxt then None else Some (Node.anchor t.lay (Node.of_ptr nxt))
+        if Pptr.is_null nxt then None
+        else
+          let n = Node.of_ptr nxt in
+          Some (Node.anchor n (Node.read_head n))
       in
       List.iter
         (fun (k, _) ->
@@ -804,7 +799,7 @@ let to_list t =
     else begin
       let node = Node.of_ptr ptr in
       let entries = List.sort compare (Node.live_entries t.lay node) in
-      go (Node.next node) (List.rev_append entries acc)
+      go (Node.read_head node).next (List.rev_append entries acc)
     end
   in
   go (Pobj.read_int (Pobj.make t.meta 0) off_head) []

@@ -97,6 +97,10 @@ val stats : t -> stats
 
 val art_stats : t -> Art.stats
 
+(** The trie the jump nodes come from (tests count its accesses
+    apart from the data layer's). *)
+val search_layer : t -> Art.t
+
 (** §6.7: histogram of hops from the search-layer jump node to the
     target node (index = hops, last bucket = overflow). *)
 val jump_histogram : t -> int array

@@ -64,7 +64,13 @@ let class_of size =
   in
   go 0
 
-let align_of csize = if csize >= 64 then 64 else 8
+(* Blocks of 256 B and up start on an XPLine (the media's 256-byte
+   access unit), so a structure that packs its hot fields into its
+   first 256 bytes (a PACTree data-node header) costs one XPLine, not
+   two.  Smaller blocks keep cache-line (or word) alignment. *)
+let xpline = 256
+
+let align_of csize = if csize >= xpline then xpline else if csize >= 64 then 64 else 8
 
 let round_up x align = (x + align - 1) / align * align
 

@@ -51,8 +51,9 @@ val kind : t -> kind
 val stats : t -> alloc_stats
 
 (** [alloc t ?numa size] returns a persistent pointer to [size] fresh
-    bytes (8-aligned; 64-aligned for sizes >= 64).  [numa] defaults to
-    the calling thread's domain. *)
+    bytes, aligned by size class: 8 B below 64 B, 64 B (a cache line)
+    below 256 B, and 256 B (an XPLine) from 256 B up.  [numa] defaults
+    to the calling thread's domain. *)
 val alloc : t -> ?numa:int -> int -> Pptr.t
 
 (** [alloc_to t ~size ~dest_pool ~dest_off] allocates and atomically

@@ -205,6 +205,60 @@ let test_recover_rolls_back_torn_alloc () =
   Alcotest.(check int) "bump rolled back" bump_before (Pool.read_int p 8);
   Alcotest.(check int) "log cleared" 0 (Pool.read_int p 64)
 
+(* Classes of 256 B and up start on an XPLine (256 B); smaller ones
+   keep cache-line (64 B) or word alignment.  Checked for fresh bump
+   blocks, freelist reuse and, after recovery, the first block past a
+   rolled-back torn allocation. *)
+let test_xpline_aligned_blocks () =
+  let aligned size ptr =
+    let want = if size > 192 then 256 else if size > 48 then 64 else 8 in
+    let off = Pptr.off ptr in
+    if off mod want <> 0 then
+      Alcotest.failf "size %d at offset %d: not %d-aligned" size off want
+  in
+  let sizes = [ 16; 300; 64; 1280; 100; 256; 24; 3328; 192; 2080; 40; 672; 257 ] in
+  List.iter
+    (fun kind ->
+      let m = make_machine () in
+      let h = make_heap ~kind ~numa_pools:1 m in
+      let blocks = List.map (fun size -> (size, Heap.alloc h ~numa:0 size)) sizes in
+      List.iter (fun (size, p) -> aligned size p) blocks;
+      (* freelist reuse hands back the same, still aligned, blocks *)
+      List.iter (fun (_, p) -> Heap.free h p) blocks;
+      List.iter
+        (fun (size, p) ->
+          let q = Heap.alloc h ~numa:0 size in
+          aligned size q;
+          Alcotest.(check bool) "freelist reuse" true (Pptr.equal p q))
+        (List.rev blocks);
+      Heap.recover h;
+      List.iter (fun size -> aligned size (Heap.alloc h ~numa:0 size)) sizes)
+    [ Heap.Pmdk; Heap.Volatile_meta ];
+  (* a torn 4 KiB bump allocation after an unaligned bump pointer:
+     recovery rolls the bump back, and the next large block is
+     aligned again *)
+  let m = make_machine () in
+  let h = make_heap ~numa_pools:1 m in
+  ignore (Heap.alloc h ~numa:0 16);
+  let p = Heap.pool_by_numa h 0 in
+  let bump_before = Pool.read_int p 8 in
+  Alcotest.(check bool) "bump not on an XPLine" true (bump_before mod 256 <> 0);
+  let block_off = ((bump_before + 8 + 255) / 256) * 256 in
+  Pool.write_int p (64 + 8) 16;
+  Pool.write_int p (64 + 16) (Pptr.make ~pool:(Pool.id p) ~off:block_off);
+  Pool.write_int p (64 + 24) bump_before;
+  Pool.write_int p (64 + 32) 0;
+  Pool.write_int p 64 1;
+  Pool.persist p 64 64;
+  Pool.write_int p 8 (block_off + 4096);
+  Pool.persist p 8 8;
+  Machine.crash m Machine.Strict;
+  Heap.recover h;
+  Alcotest.(check int) "bump rolled back" bump_before (Pool.read_int p 8);
+  let q = Heap.alloc h ~numa:0 4096 in
+  aligned 4096 q;
+  Alcotest.(check int) "same block as the torn one" block_off (Pptr.off q)
+
 let test_volatile_recover_resets () =
   let m = make_machine () in
   let h = make_heap ~kind:Heap.Volatile_meta ~numa_pools:1 m in
@@ -275,6 +329,8 @@ let suite =
     Alcotest.test_case "heap: recovery rolls back torn alloc" `Quick
       test_recover_rolls_back_torn_alloc;
     Alcotest.test_case "heap: volatile recovery resets" `Quick test_volatile_recover_resets;
+    Alcotest.test_case "heap: blocks of 256 B or more start on an XPLine" `Quick
+      test_xpline_aligned_blocks;
     Alcotest.test_case "heap: stats counting" `Quick test_stats_counting;
     Alcotest.test_case "heap: size limit" `Quick test_alloc_size_limit;
     QCheck_alcotest.to_alcotest test_concurrent_allocs_distinct;

@@ -342,6 +342,156 @@ let test_jump_histogram_populated () =
   Alcotest.(check bool) "histogram populated" true (total > 0);
   Alcotest.(check bool) "mostly direct hits" true (float_of_int hist.(0) > 0.5 *. float_of_int total)
 
+(* Readers race writers that update, delete and re-insert their own
+   key ranges, so nodes merge (and split) under the readers.  The
+   updater starts only after 20 merges: until then the search layer
+   keeps pointing at merged-away nodes (the ephemeral inconsistency of
+   §4.3), after that it replays concurrently.  Every write of key [k]
+   has a sequence number [j] and the unique value [k * max_writes + j];
+   a delete is [None].  An answer must be the result of a write [j]
+   that began before the call returned ([j < started]) and is no older
+   than the last write completed before the call began
+   ([j >= completed - 1]). *)
+let test_readers_race_merges () =
+  let _, t = make_tree () in
+  let n = 1200 and writers = 4 and readers = 4 and reads = 2000 and max_writes = 16 in
+  let hist = Array.make_matrix n max_writes None in
+  let started = Array.make n 0 and completed = Array.make n 0 in
+  let write k op =
+    let j = started.(k) in
+    let v = (k * max_writes) + j in
+    started.(k) <- j + 1;
+    (match op with
+    | `Put ->
+        hist.(k).(j) <- Some v;
+        Tree.insert t (ik k) v
+    | `Del -> ignore (Tree.delete t (ik k)));
+    completed.(k) <- j + 1
+  in
+  for k = 0 to n - 1 do
+    write k `Put
+  done;
+  Tree.drain_smo t;
+  let checked = ref 0 and sched = Des.Sched.create () in
+  let live = ref (writers + readers) in
+  let finish () =
+    decr live;
+    if !live = 0 then Tree.request_shutdown t
+  in
+  Des.Sched.spawn sched ~name:"updater" (fun () ->
+      while (Tree.stats t).Tree.merges < 20 && !live > 0 do
+        Des.Sched.delay 10e-6
+      done;
+      Tree.updater_loop t);
+  for w = 0 to writers - 1 do
+    Des.Sched.spawn sched ~numa:(w mod 2) ~name:(Printf.sprintf "wr%d" w) (fun () ->
+        let rng = Des.Rng.create ~seed:(Int64.of_int (7 + w)) in
+        let own = Array.init (n / writers) (fun i -> (w * (n / writers)) + i) in
+        let victims = Array.of_list (List.filter (fun k -> k mod 8 <> 0) (Array.to_list own)) in
+        (* each round updates every key, deletes 7 in 8 of them in key
+           order (the nodes drain and merge) and re-inserts those in a
+           random order (the nodes split again) *)
+        for _ = 1 to 3 do
+          Array.iter (fun k -> write k `Put) own;
+          Array.iter (fun k -> write k `Del) victims;
+          for i = Array.length victims - 1 downto 1 do
+            let j = Des.Rng.int rng (i + 1) in
+            let x = victims.(i) in
+            victims.(i) <- victims.(j);
+            victims.(j) <- x
+          done;
+          Array.iter (fun k -> write k `Put) victims;
+          Array.sort compare victims
+        done;
+        finish ())
+  done;
+  let show = function Some v -> string_of_int v | None -> "absent" in
+  for r = 0 to readers - 1 do
+    Des.Sched.spawn sched ~numa:(r mod 2) ~name:(Printf.sprintf "rd%d" r) (fun () ->
+        let rng = Des.Rng.create ~seed:(Int64.of_int (100 + r)) in
+        for _ = 1 to reads do
+          let k = Des.Rng.int rng n in
+          let oldest = completed.(k) - 1 in
+          let got = Tree.lookup t (ik k) in
+          let newest = started.(k) - 1 in
+          let ok =
+            match got with
+            | Some v ->
+                let j = v - (k * max_writes) in
+                j >= oldest && j <= newest && hist.(k).(j) = Some v
+            | None ->
+                let rec any j = j <= newest && (hist.(k).(j) = None || any (j + 1)) in
+                any oldest
+          in
+          if not ok then
+            Alcotest.failf "lookup %d = %s, but writes %d..%d are %s" k (show got) oldest newest
+              (String.concat ","
+                 (List.init (newest - oldest + 1) (fun i -> show hist.(k).(oldest + i))));
+          incr checked
+        done;
+        finish ())
+  done;
+  Des.Sched.run sched;
+  Alcotest.(check int) "all reads checked" (readers * reads) !checked;
+  Alcotest.(check bool) "merges happened" true ((Tree.stats t).Tree.merges > 40);
+  ignore (Tree.check_invariants t);
+  for k = 0 to n - 1 do
+    if Tree.lookup t (ik k) <> hist.(k).(completed.(k) - 1) then
+      Alcotest.failf "key %d: final value wrong" k
+  done
+
+(* One direct-hit lookup of a string key, minus its trie descent:
+   version, header line, fingerprint line, the entry (48-byte stride,
+   so at most two lines) and the validation.  The key is one whose
+   entry spans two lines and whose fingerprint matches no earlier live
+   slot, so the budget is exact: any further read of a header field or
+   of the anchor exceeds it. *)
+let test_lookup_hit_accesses () =
+  let cfg = { small_cfg with Tree.key_inline = 32 } in
+  let machine, t = make_tree ~cfg () in
+  let key i = Key.of_string (Printf.sprintf "user%019d" (i * 7919 mod 3000)) in
+  for i = 0 to 2999 do
+    Tree.insert t (key i) i
+  done;
+  Tree.drain_smo t;
+  let module Node = Pactree.Data_node in
+  let lay = Tree.layout t in
+  let art = Tree.search_layer t in
+  let jump k =
+    match Pactree.Art.lookup_le art (Key.to_radix k) with
+    | Some p -> Node.of_ptr p
+    | None -> Alcotest.fail "no jump node"
+  in
+  let exact k =
+    let live = Node.sorted_live lay (jump k) in
+    match List.assoc_opt k live with
+    | None -> false
+    | Some slot ->
+        let fp = Pactree.Fingerprint.of_key k in
+        (slot mod 4 = 1 || slot mod 4 = 2)
+        && not (List.exists (fun (k', s) -> s < slot && Pactree.Fingerprint.of_key k' = fp) live)
+  in
+  let k =
+    match List.find_opt exact (List.init 3000 (fun i -> key (i + 1000))) with
+    | Some k -> k
+    | None -> Alcotest.fail "no key with a two-line entry"
+  in
+  let accesses () =
+    let s = Machine.stats machine in
+    s.Nvm.Stats.cache_hits + s.Nvm.Stats.cache_misses
+  in
+  let hops = Tree.jump_histogram t in
+  let before = accesses () in
+  let got = Tree.lookup t k in
+  let tree = accesses () - before in
+  let before = accesses () in
+  ignore (Pactree.Art.lookup_le art (Key.to_radix k));
+  let trie = accesses () - before in
+  Alcotest.(check bool) "hit" true (got <> None);
+  Alcotest.(check int) "direct hit" (hops.(0) + 1) (Tree.jump_histogram t).(0);
+  let used = tree - trie in
+  if used > 6 then Alcotest.failf "lookup hit took %d data-node accesses, budget 6" used
+
 (* ---------- configuration variants (Fig 12 ablations) ---------- *)
 
 let exercise_variant cfg =
@@ -527,4 +677,8 @@ let suite =
     Alcotest.test_case "recovery: 20 crash rounds" `Quick test_recovery_repeated_crashes;
     Alcotest.test_case "recovery: crash mid concurrent run" `Quick
       test_recovery_mid_concurrent_run;
+    Alcotest.test_case "tree: readers race merges and updates" `Quick
+      test_readers_race_merges;
+    Alcotest.test_case "tree: lookup hit reads each data-node line once" `Quick
+      test_lookup_hit_accesses;
   ]
