@@ -14,13 +14,15 @@
    shapes (ordering, ratios, crossovers), not absolute numbers, are
    the comparison target against the paper. *)
 
+(* Bechamel micro-benchmarks.  [lookup-4k]: host-side cost of one
+   simulated lookup per index (single-threaded, small working set).
+   [nvm-access]: host cost of one simulated NVM access on each path
+   the cost model takes, measured inside a simulated thread so that
+   charges, misses and fences run exactly as in a benchmark. *)
 let microbench () =
-  (* Bechamel micro-benchmarks: host-side cost of one simulated
-     operation per index (single-threaded, small working set).  One
-     Test.make per measured system. *)
   let open Bechamel in
   let scale = Experiments.Scale.tiny in
-  let make_op sys =
+  let lookup sys =
     let machine = Nvm.Machine.create ~numa_count:2 () in
     let index =
       (Baselines.System.make machine ~data_capacity:scale.Experiments.Scale.data_capacity
@@ -31,29 +33,83 @@ let microbench () =
       Baselines.Index_intf.insert index (Pactree.Key.of_int i) i
     done;
     let counter = ref 0 in
-    Staged.stage (fun () ->
-        counter := (!counter + 7919) land 0xFFF;
-        ignore (Baselines.Index_intf.lookup index (Pactree.Key.of_int !counter)))
+    Test.make ~name:(Baselines.System.name sys)
+      (Staged.stage (fun () ->
+           counter := (!counter + 7919) land 0xFFF;
+           ignore (Baselines.Index_intf.lookup index (Pactree.Key.of_int !counter))))
   in
-  let test_of sys = Test.make ~name:(Baselines.System.name sys) (make_op sys) in
-  let test = Test.make_grouped ~name:"lookup-4k" (List.map test_of Baselines.System.all) in
-  let benchmark () =
-    let instances = Toolkit.Instance.[ monotonic_clock ] in
+  let page = 4096 in
+  let pool ?(capacity = 1 lsl 20) () =
+    let machine = Nvm.Machine.create ~numa_count:2 () in
+    (machine, Nvm.Pool.create machine ~name:"micro" ~numa:0 ~capacity ())
+  in
+  let access =
+    let _, hot = pool () in
+    Nvm.Pool.write_int hot 0 1;
+    (* 64x more lines than the CPU cache model holds: nearly every read misses *)
+    let lines = 64 lsl Nvm.Config.dcpmm.Nvm.Config.cache_slots_log2 in
+    let _, cold = pool ~capacity:(lines * 64) () in
+    let miss = ref 0 in
+    let _, flushed = pool () in
+    let _, npool = pool () in
+    Pmalloc.Registry.register npool;
+    let node = { Pactree.Data_node.pool = npool; off = 256 } in
+    Pactree.Data_node.init
+      (Pactree.Data_node.layout ~key_inline:8 ())
+      node ~gen:1 ~anchor:"" ~next:Pmalloc.Pptr.null ~prev:Pmalloc.Pptr.null;
+    let ptr = Pactree.Data_node.to_ptr node in
+    (* 256 pages resident in both images; each crash drops one unflushed line *)
+    let crash_machine, crashed = pool ~capacity:(256 * page) () in
+    for i = 0 to 255 do
+      Nvm.Pool.write_int crashed (i * page) i;
+      Nvm.Pool.persist crashed (i * page) 8
+    done;
+    [
+      Test.make ~name:"Pool.read_int hit" (Staged.stage (fun () -> Nvm.Pool.read_int hot 0));
+      Test.make ~name:"Pool.read_int miss"
+        (Staged.stage (fun () ->
+             miss := (!miss + 7919) land (lines - 1);
+             Nvm.Pool.read_int cold (!miss * 64)));
+      Test.make ~name:"Pool.write_int" (Staged.stage (fun () -> Nvm.Pool.write_int hot 0 2));
+      Test.make ~name:"write+clwb+fence"
+        (Staged.stage (fun () ->
+             Nvm.Pool.write_int flushed 0 3;
+             Nvm.Pool.clwb flushed 0;
+             Nvm.Pool.fence flushed));
+      Test.make ~name:"Registry.resolve"
+        (Staged.stage (fun () -> Pmalloc.Registry.resolve ptr == npool));
+      Test.make ~name:"Data_node.read_head"
+        (Staged.stage (fun () -> Pactree.Data_node.read_head node));
+      Test.make ~name:"Machine.crash 256 pages"
+        (Staged.stage (fun () ->
+             Nvm.Pool.write_int crashed 64 1;
+             Nvm.Machine.crash crash_machine Nvm.Machine.Strict));
+    ]
+  in
+  let run name tests =
     let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) () in
-    Benchmark.all cfg instances test
-  in
-  let analyze results =
+    let results =
+      Benchmark.all cfg Toolkit.Instance.[ monotonic_clock ] (Test.make_grouped ~name tests)
+    in
     let ols = Analyze.ols ~bootstrap:0 ~r_square:true ~predictors:[| Measure.run |] in
     Analyze.all ols Toolkit.Instance.monotonic_clock results
   in
-  Format.printf "@.=== micro: host-side cost per simulated lookup ===@.";
-  let results = analyze (benchmark ()) in
-  Hashtbl.iter
-    (fun name ols ->
-      match Bechamel.Analyze.OLS.estimates ols with
-      | Some [ est ] -> Format.printf "%-24s %10.0f ns/op@." name est
-      | Some _ | None -> Format.printf "%-24s (no estimate)@." name)
-    results
+  let report title results =
+    Format.printf "@.=== micro: %s ===@." title;
+    List.iter
+      (fun (name, ols) ->
+        match Analyze.OLS.estimates ols with
+        | Some [ est ] -> Format.printf "%-36s %10.0f ns/op@." name est
+        | Some _ | None -> Format.printf "%-36s (no estimate)@." name)
+      (List.sort (fun (a, _) (b, _) -> String.compare a b) (List.of_seq (Hashtbl.to_seq results)))
+  in
+  report "host-side cost per simulated lookup"
+    (run "lookup-4k" (List.map lookup Baselines.System.all));
+  let results = ref (Hashtbl.create 0) in
+  let sched = Des.Sched.create () in
+  Des.Sched.spawn sched ~name:"micro" (fun () -> results := run "nvm-access" access);
+  Des.Sched.run sched;
+  report "host-side cost per simulated NVM access" !results
 
 let () =
   let args = List.tl (Array.to_list Sys.argv) in

@@ -2,7 +2,10 @@ type thread = {
   id : int;
   name : string;
   numa : int;
-  mutable extra : float; (* accumulated `charge` not yet reflected in the clock *)
+  extra : float array;
+      (* one cell: accumulated `charge` not yet reflected in the clock.
+         A float array stores it unboxed, so [charge] never allocates
+         (a mutable float field in this mixed record would box). *)
 }
 
 type t = {
@@ -29,12 +32,12 @@ let create ?(start = 0.0) () =
 let now t = t.clock
 
 let flush_extra thread =
-  let e = thread.extra in
-  thread.extra <- 0.0;
+  let e = thread.extra.(0) in
+  thread.extra.(0) <- 0.0;
   e
 
 let spawn t ?(numa = 0) ~name body =
-  let thread = { id = t.next_id; name; numa; extra = 0.0 } in
+  let thread = { id = t.next_id; name; numa; extra = [| 0.0 |] } in
   t.next_id <- t.next_id + 1;
   t.live <- t.live + 1;
   let open Effect.Deep in
@@ -137,9 +140,9 @@ let delay seconds =
   | None -> ()
 
 let charge seconds =
-  match current () with Some th -> th.extra <- th.extra +. seconds | None -> ()
+  match current () with Some th -> th.extra.(0) <- th.extra.(0) +. seconds | None -> ()
 
-let pending_charge () = match current () with Some th -> th.extra | None -> 0.0
+let pending_charge () = match current () with Some th -> th.extra.(0) | None -> 0.0
 
 let yield () = delay 0.0
 

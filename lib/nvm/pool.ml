@@ -30,9 +30,11 @@ type t = {
   media : Bytes.t array; (* empty for volatile pools *)
   dirty : Bytes.t; (* bitset, one bit per 64B line (8 bytes per page) *)
   staged_by : (int, int) Hashtbl.t;
-      (* line -> thread that staged it with no store since; that
-         thread's pending fence will persist the current content, so
-         its own re-flushes of the line can be elided (FliT) *)
+      (* line -> thread that staged it with no store since and whose
+         fence has not applied it yet; that pending fence will persist
+         the current content, so the thread's own re-flushes of the
+         line can be elided (FliT).  In-flight lines only: a store, a
+         crash or the applying fence drops the entry. *)
   capacity : int;
 }
 
@@ -212,10 +214,13 @@ let create machine ?(volatile = false) ~name ~numa ~capacity () =
                   persist_line pool pool.cache.(i) (line_pos line) line
               done
           done);
-      (* cache := media: rebuild resident pages, drop the rest *)
+      (* cache := media, in place: reuse resident cache pages, copy
+         pages resident in media alone, drop the rest *)
       for i = 0 to pages - 1 do
-        let m = pool.media.(i) in
-        pool.cache.(i) <- (if m == zero_page then zero_page else Bytes.copy m)
+        let m = pool.media.(i) and c = pool.cache.(i) in
+        if m == zero_page then pool.cache.(i) <- zero_page
+        else if c == zero_page then pool.cache.(i) <- Bytes.copy m
+        else Bytes.blit m 0 c 0 page_size
       done
     end;
     reset_line_state ()
@@ -286,21 +291,23 @@ let touch_range_k t off len ~write =
     if write then s.Stats.logical_write_bytes <- s.Stats.logical_write_bytes + len
     else s.Stats.logical_read_bytes <- s.Stats.logical_read_bytes + len
   end;
-  let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-  for line = first to last do
-    touch_line t (line lsl 6)
-  done
+  (* [len > 0]: an empty range touches no line (at offset 0 the upper
+     bound would wrap to a huge line number) *)
+  if len > 0 then
+    for line = off lsr 6 to (off + len - 1) lsr 6 do
+      touch_line t (line lsl 6)
+    done
 
 let touch_range t off len = touch_range_k t off len ~write:false
 
 let touch_range_write t off len =
   touch_range_k t off len ~write:true;
-  let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-  for line = first to last do
-    mark_dirty t (line lsl 6);
-    (* A (possible) store invalidates the staged-snapshot elision. *)
-    Hashtbl.remove t.staged_by line
-  done
+  if len > 0 then
+    for line = off lsr 6 to (off + len - 1) lsr 6 do
+      mark_dirty t (line lsl 6);
+      (* A (possible) store invalidates the staged-snapshot elision. *)
+      if Hashtbl.length t.staged_by > 0 then Hashtbl.remove t.staged_by line
+    done
 
 (* Report the post-store content of every line under [off, off+len) to
    the machine's tracer (no-op unless crashmc is recording). *)
@@ -498,9 +505,10 @@ let clwb t off =
   end
   else if not t.volatile then begin
     let line = off lsr 6 in
+    let tid = Des.Sched.current_id () in
     let redundant =
       lines_equal t line
-      || Hashtbl.find_opt t.staged_by line = Some (Des.Sched.current_id ())
+      || match Hashtbl.find_opt t.staged_by line with Some owner -> owner = tid | None -> false
     in
     if redundant && Machine.flush_elision t.machine then begin
       let stats = Machine.stats t.machine in
@@ -526,18 +534,24 @@ let clwb t off =
       let snapshot = Bytes.sub (line_page t.cache line) (line_pos line) line_size in
       let apply () =
         persist_line t snapshot 0 line;
-        if lines_equal t line then clear_dirty t line
+        if lines_equal t line then clear_dirty t line;
+        (* Applied with no store since: the line is clean, so
+           [lines_equal] now answers for the entry.  A newer staging
+           by another thread is kept. *)
+        match Hashtbl.find_opt t.staged_by line with
+        | Some owner when owner = tid -> Hashtbl.remove t.staged_by line
+        | Some _ | None -> ()
       in
       let g = gline t off in
       Machine.stage t.machine
         { Machine.pool_id = t.id; dev = t.dev; xpline = g lsr 2; apply };
-      Hashtbl.replace t.staged_by line (Des.Sched.current_id ());
+      Hashtbl.replace t.staged_by line tid;
       (match Machine.tracer t.machine with
       | Some emit ->
           emit
             (Machine.Ev_clwb
                {
-                 tid = Des.Sched.current_id ();
+                 tid;
                  pool = t.id;
                  line;
                  data = Bytes.to_string snapshot;
@@ -581,3 +595,5 @@ let cas_int t off ~expected v =
   else false
 
 let resident_bytes t = (resident_pages t.cache + resident_pages t.media) * page_size
+
+let staged_lines t = Hashtbl.length t.staged_by

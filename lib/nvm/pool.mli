@@ -102,7 +102,14 @@ val compare_string : t -> int -> int -> string -> int
     charges [clwb_cpu_cost] and still invalidates the cache line
     (FH4).  Elision never weakens persistence: the elided flush's
     obligation is already met by the media state or by the caller's
-    pending fence. *)
+    pending fence.
+
+    The tracking table holds in-flight lines only.  A [clwb] records
+    [line -> thread]; a store to the line, a crash, or that thread's
+    fence applying the staged snapshot drops the entry.  Once applied
+    with no store since, the line equals its media image, so the
+    clean-line test covers it.  A fence never drops a newer staging
+    of the line by another thread. *)
 val clwb : t -> int -> unit
 
 (** [flush_range p off len] issues [clwb] for each line overlapping
@@ -128,6 +135,10 @@ val line_is_dirty : t -> int -> bool
 (** Bytes of cache and media pages materialised so far (page tables
     not counted). *)
 val resident_bytes : t -> int
+
+(** Lines currently in the flush-tracking table: staged by a [clwb]
+    whose fence has not applied them, with no store since. *)
+val staged_lines : t -> int
 
 (** [cas_int p off ~expected v] atomically compares the 8-byte slot at
     [off] with [expected] and stores [v] on match (8-byte aligned).

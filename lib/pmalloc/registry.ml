@@ -1,20 +1,33 @@
 (* Pools are held weakly: the registry must not keep the (large) pool
    images of discarded machines alive — benchmark suites create
-   hundreds of machines per process. *)
-let table : (int, Nvm.Pool.t Weak.t) Hashtbl.t = Hashtbl.create 256
+   hundreds of machines per process.  Pool ids are dense and
+   process-global, so both tables are indexed by id and grow by
+   doubling; [known] tells a collected pool from an id never
+   registered. *)
+let pools : Nvm.Pool.t Weak.t ref = ref (Weak.create 256)
+
+let known = ref (Bytes.make 256 '\000')
 
 let register pool =
-  let w = Weak.create 1 in
-  Weak.set w 0 (Some pool);
-  Hashtbl.replace table (Nvm.Pool.id pool) w
+  let id = Nvm.Pool.id pool in
+  let n = Weak.length !pools in
+  if id >= n then begin
+    let n' = max (2 * n) (id + 1) in
+    let w = Weak.create n' in
+    Weak.blit !pools 0 w 0 n;
+    pools := w;
+    known := Bytes.extend !known 0 (n' - n);
+    Bytes.fill !known n (n' - n) '\000'
+  end;
+  Weak.set !pools id (Some pool);
+  Bytes.set !known id '\001'
 
 let find id =
-  match Hashtbl.find_opt table id with
-  | Some w -> (
-      match Weak.get w 0 with
-      | Some pool -> pool
-      | None ->
-          invalid_arg (Printf.sprintf "Registry.find: pool id %d no longer live" id))
-  | None -> invalid_arg (Printf.sprintf "Registry.find: unknown pool id %d" id)
+  if id < 0 || id >= Bytes.length !known || Bytes.get !known id = '\000' then
+    invalid_arg (Printf.sprintf "Registry.find: unknown pool id %d" id)
+  else
+    match Weak.get !pools id with
+    | Some pool -> pool
+    | None -> invalid_arg (Printf.sprintf "Registry.find: pool id %d no longer live" id)
 
 let resolve p = find (Pptr.pool p)

@@ -135,6 +135,120 @@ let test_flush_tracking_counts_redundant () =
   Machine.crash m Machine.Strict;
   Alcotest.(check int) "value durable throughout" 2 (Pool.read_int p 0)
 
+(* The corner cases the in-flight-only tracking table must keep. *)
+let test_flush_tracking_lifetime () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let s = Machine.stats m in
+  Pool.write_int p 0 1;
+  Pool.clwb p 0;
+  Alcotest.(check int) "staged" 1 (Pool.staged_lines p);
+  let elided = s.Stats.flushes_elided in
+  Pool.clwb p 0;
+  Alcotest.(check int) "same-thread re-clwb before the fence is redundant" (elided + 1)
+    s.Stats.flushes_elided;
+  Pool.fence p;
+  Alcotest.(check int) "the applying fence drops the entry" 0 (Pool.staged_lines p);
+  Pool.clwb p 0;
+  Alcotest.(check int) "after the fence: redundant through the clean line" (elided + 2)
+    s.Stats.flushes_elided;
+  Pool.fence p;
+  (* a store between clwb and fence: the fence persists the old snapshot *)
+  Pool.write_int p 0 2;
+  Pool.clwb p 0;
+  Pool.write_int p 0 3;
+  Alcotest.(check int) "a store drops the entry" 0 (Pool.staged_lines p);
+  Pool.fence p;
+  let flushes = s.Stats.flushes in
+  Pool.clwb p 0;
+  Alcotest.(check int) "next clwb is not redundant" (elided + 2) s.Stats.flushes_elided;
+  Alcotest.(check int) "and is executed" (flushes + 1) s.Stats.flushes;
+  Pool.fence p;
+  Alcotest.(check int) "latest value persisted" 3 (Pool.media_read_int p 0)
+
+(* Thread A stages a line, thread B stages it again, A fences: B's
+   staging is newer than the snapshot A's fence applies, so it stays
+   until B's own fence. *)
+let test_flush_tracking_other_thread_survives () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let sched = Des.Sched.create () in
+  let after_a = ref (-1) and after_b = ref (-1) in
+  Des.Sched.spawn sched ~name:"a" (fun () ->
+      Pool.write_int p 0 1;
+      Pool.clwb p 0;
+      Des.Sched.delay 2e-6;
+      Pool.fence p;
+      after_a := Pool.staged_lines p);
+  Des.Sched.spawn sched ~name:"b" (fun () ->
+      Des.Sched.delay 1e-6;
+      Pool.clwb p 0;
+      Des.Sched.delay 10e-6;
+      Pool.fence p;
+      after_b := Pool.staged_lines p);
+  Des.Sched.run sched;
+  Alcotest.(check int) "B's staging survives A's fence" 1 !after_a;
+  Alcotest.(check int) "B's fence drops it" 0 !after_b;
+  Alcotest.(check int) "durable" 1 (Pool.media_read_int p 0)
+
+(* Thread B stages value 1, A stores 2 and persists it, then B's later
+   fence applies B's older snapshot: the media is stale again.  A's next
+   clwb must not count as redundant, or elision would skip the flush
+   that makes 2 durable. *)
+let test_flush_tracking_stale_apply () =
+  let m = make_machine () in
+  let p = make_pool m in
+  Machine.set_flush_elision m true;
+  let s = Machine.stats m in
+  let sched = Des.Sched.create () in
+  Des.Sched.spawn sched ~name:"b" (fun () ->
+      Pool.write_int p 0 1;
+      Pool.clwb p 0;
+      Des.Sched.delay 10e-6;
+      Pool.fence p);
+  Des.Sched.spawn sched ~name:"a" (fun () ->
+      Des.Sched.delay 1e-6;
+      Pool.write_int p 0 2;
+      Pool.persist p 0 8;
+      Des.Sched.delay 20e-6;
+      Alcotest.(check int) "B's fence wrote its older snapshot" 1 (Pool.media_read_int p 0);
+      let elided = s.Stats.flushes_elided in
+      Pool.persist p 0 8;
+      Alcotest.(check int) "re-clwb not redundant" elided s.Stats.flushes_elided);
+  Des.Sched.run sched;
+  Alcotest.(check int) "latest value durable" 2 (Pool.media_read_int p 0)
+
+let test_flush_tracking_bounded () =
+  let m = make_machine () in
+  let p = make_pool m in
+  for i = 0 to 9_999 do
+    Pool.write_int p (i * 64) i;
+    Pool.clwb p (i * 64);
+    Pool.fence p
+  done;
+  Alcotest.(check int) "no applied line stays tracked" 0 (Pool.staged_lines p);
+  Alcotest.(check int) "last line durable" 9_999 (Pool.media_read_int p (9_999 * 64))
+
+(* Empty accesses touch no line: at offset 0 the line range used to
+   wrap to ~2^57 lines, at an unaligned offset it charged one line. *)
+let test_empty_access_charges_nothing () =
+  let m = make_machine () in
+  let p = make_pool m in
+  let before = Stats.snapshot (Machine.stats m) in
+  List.iter
+    (fun off ->
+      Alcotest.(check string) "empty read" "" (Pool.read_string p off 0);
+      Alcotest.(check int) "empty compare" 0 (Pool.compare_string p off 0 "");
+      Pool.blit_to_bytes p off (Bytes.create 0) 0 0;
+      Pool.write_string p off "";
+      Pool.fill_zero p off 0)
+    [ 0; 100; Pool.capacity p ];
+  let d = Stats.diff (Machine.stats m) before in
+  Alcotest.(check int) "no cache access" 0 (d.Stats.cache_hits + d.Stats.cache_misses);
+  Alcotest.(check int) "no logical bytes" 0
+    (d.Stats.logical_read_bytes + d.Stats.logical_write_bytes);
+  Alcotest.(check int) "nothing materialised" 0 (Pool.resident_bytes p)
+
 let test_flaky_p1_persists_all_dirty () =
   let m = make_machine () in
   let p = make_pool m in
@@ -464,6 +578,63 @@ let test_strict_crash_keeps_persisted () = crash_keeps_persisted_lines Machine.S
 let test_flaky_crash_keeps_persisted () =
   crash_keeps_persisted_lines (Machine.Flaky (0.0, Des.Rng.create ~seed:1L))
 
+(* After a crash every cache page equals its media page, and a page
+   absent from the media is absent from the cache.  Page 3 is resident
+   in the media alone (a clwb of a never-written line persists zeros). *)
+let crash_rebuilds_cache mode =
+  let m = make_machine () in
+  let p = make_pool m in
+  let v = List.find (fun v -> v.Machine.pv_id = Pool.id p) (Machine.pool_views m) in
+  Pool.write_int p 0 1;
+  Pool.persist p 0 8;
+  Pool.write_int p 64 2;
+  Pool.write_int p page 3;
+  Pool.write_int p (2 * page) 4;
+  Pool.persist p (2 * page) 8;
+  Pool.write_int p (2 * page) 5;
+  Pool.persist p (3 * page) 8;
+  Pool.write_int p (4 * page + 128) 6;
+  Machine.crash m mode;
+  let media = v.Machine.pv_media () in
+  Alcotest.(check bool) "cache image = media image" true
+    (String.equal (Pool.read_string p 0 (Pool.capacity p)) (Bytes.to_string media));
+  let media_pages = ref 0 in
+  for i = 0 to (Pool.capacity p / page) - 1 do
+    if not (Bytes.equal (Bytes.sub media (i * page) page) (Bytes.make page '\000')) then
+      incr media_pages
+  done;
+  (* page 3 holds zeros in both images, so count it by hand *)
+  Alcotest.(check int) "cache pages = media pages" (2 * (!media_pages + 1) * page)
+    (Pool.resident_bytes p)
+
+let test_strict_crash_rebuilds_cache () = crash_rebuilds_cache Machine.Strict
+
+let test_flaky_crash_rebuilds_cache () =
+  crash_rebuilds_cache (Machine.Flaky (0.5, Des.Rng.create ~seed:3L))
+
+(* The rebuild reuses resident cache pages: crashing a pool with 256
+   pages resident in both images allocates less than one page. *)
+let test_crash_rebuilds_in_place () =
+  let m = make_machine () in
+  let pages = 256 in
+  let p = make_pool ~capacity:(pages * page) m in
+  for i = 0 to pages - 1 do
+    Pool.write_int p (i * page) (i + 1);
+    Pool.persist p (i * page) 8;
+    Pool.write_int p ((i * page) + 64) 7
+  done;
+  Alcotest.(check int) "both images resident" (2 * pages * page) (Pool.resident_bytes p);
+  Gc.minor ();
+  let before = (Gc.quick_stat ()).Gc.major_words in
+  Machine.crash m Machine.Strict;
+  let allocated = (Gc.quick_stat ()).Gc.major_words -. before in
+  Alcotest.(check bool)
+    (Printf.sprintf "crash allocated %.0f major words" allocated)
+    true
+    (allocated < float_of_int (page / 8));
+  Alcotest.(check int) "persisted kept" pages (Pool.read_int p ((pages - 1) * page));
+  Alcotest.(check int) "unflushed dropped" 0 (Pool.read_int p 64)
+
 let pool_view m p =
   List.find (fun v -> v.Machine.pv_id = Pool.id p) (Machine.pool_views m)
 
@@ -637,5 +808,19 @@ let suite =
     Alcotest.test_case "crash: flaky keeps persisted pages only" `Quick
       test_flaky_crash_keeps_persisted;
     Alcotest.test_case "pool: media image roundtrip" `Quick test_media_image_roundtrip;
+    Alcotest.test_case "flush tracking: entry lifetime" `Quick test_flush_tracking_lifetime;
+    Alcotest.test_case "flush tracking: other thread's staging survives" `Quick
+      test_flush_tracking_other_thread_survives;
+    Alcotest.test_case "flush tracking: stale snapshot needs a new flush" `Quick
+      test_flush_tracking_stale_apply;
+    Alcotest.test_case "flush tracking: applied lines leave the table" `Quick
+      test_flush_tracking_bounded;
+    Alcotest.test_case "pool: empty accesses charge nothing" `Quick
+      test_empty_access_charges_nothing;
+    Alcotest.test_case "crash: strict rebuilds cache = media" `Quick
+      test_strict_crash_rebuilds_cache;
+    Alcotest.test_case "crash: flaky rebuilds cache = media" `Quick
+      test_flaky_crash_rebuilds_cache;
+    Alcotest.test_case "crash: cache rebuilt in place" `Quick test_crash_rebuilds_in_place;
     QCheck_alcotest.to_alcotest test_paged_pool_model;
   ]
