@@ -27,8 +27,18 @@ let numa t = t.numa
 
 let stats t = t.stats
 
-(* Knuth multiplicative hash keeps adjacent XPLines in distinct slots. *)
-let buf_slot t xpline = xpline * 0x9E3779B1 land max_int mod Array.length t.read_buf
+(* Knuth multiplicative hash.  The pool's index offsets the in-pool
+   number before the multiply: ids at equal offsets in different pools
+   take different slots, and the multiplier is odd, so any 2^k
+   consecutive ids of one pool still fill 2^k slots without a conflict.
+   Pool 0 hashes as the plain multiply. *)
+let slot_hash ~shift id =
+  let pool = id lsr shift and x = id land ((1 lsl shift) - 1) in
+  (x + (pool * 0x9E3779B1)) * 0x9E3779B1
+
+(* An XPLine id holds its pool's index in bits 38 and up
+   ([Pool.gline] lsr 2). *)
+let buf_slot t xpline = slot_hash ~shift:38 xpline land max_int mod Array.length t.read_buf
 
 let buf_mem t xpline = t.read_buf.(buf_slot t xpline) = xpline
 

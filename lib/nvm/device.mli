@@ -24,6 +24,13 @@ val numa : t -> int
 
 val stats : t -> Stats.t
 
+(** [slot_hash ~shift id] is the slot hash shared by the CPU cache and
+    the XPLine read buffer, for a line or XPLine [id] whose bits [shift]
+    and up hold its pool's machine-local index; callers keep its low
+    bits.  Ids at equal offsets in up to [2^k] pools differ in their
+    low [k] bits, and so do any [2^k] consecutive ids of one pool. *)
+val slot_hash : shift:int -> int -> int
+
 (** [read t ~now ~xpline ~from_numa] models fetching XPLine [xpline]
     and returns the absolute completion time.  A buffer hit bypasses
     the channels.  Directory maintenance traffic is added when

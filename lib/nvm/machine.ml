@@ -133,7 +133,11 @@ let fresh_pool_id t =
   t.next_pool_id <- index + 1;
   (id, index)
 
-let cache_slot t gline = gline * 0x9E3779B1 land t.cpu_mask
+(* Direct-mapped.  A line id holds its pool's index in bits 40 and up
+   ([Pool.gline]); the offsets of pools 0..7 are at least 117 lines
+   apart mod 4096, so equal offsets in up to 8 pools do not conflict
+   for runs of up to 117 lines. *)
+let cache_slot t gline = Device.slot_hash ~shift:40 gline land t.cpu_mask
 
 let cache_access t gline =
   let slot = cache_slot t gline in

@@ -16,12 +16,24 @@ let zeta n theta =
   done;
   !acc
 
+(* [zeta n theta] is O(n) and every per-thread generator of a run asks
+   for the same one, so [create] computes it once per (n, theta). *)
+let zeta_memo : (int * float, float) Hashtbl.t = Hashtbl.create 8
+
+let zeta_memoised n theta =
+  match Hashtbl.find_opt zeta_memo (n, theta) with
+  | Some z -> z
+  | None ->
+      let z = zeta n theta in
+      Hashtbl.add zeta_memo (n, theta) z;
+      z
+
 let create ?(scramble = true) ~n ~theta rng =
   assert (n > 0 && theta >= 0.0 && theta < 1.0);
   if theta = 0.0 then
     { rng; n; theta; alpha = 0.0; zetan = 0.0; eta = 0.0; threshold = 0.0; scramble }
   else begin
-    let zetan = zeta n theta in
+    let zetan = zeta_memoised n theta in
     let zeta2 = zeta 2 theta in
     let alpha = 1.0 /. (1.0 -. theta) in
     let eta =
@@ -54,3 +66,5 @@ let next t =
   end
 
 let n t = t.n
+
+let zetan t = t.zetan

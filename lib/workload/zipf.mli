@@ -15,3 +15,11 @@ val next : t -> int
 
 (** Number of items. *)
 val n : t -> int
+
+(** [zeta n theta] is the generalised harmonic number
+    [sum_{i=1..n} 1/i^theta], computed afresh in O(n). *)
+val zeta : int -> float -> float
+
+(** The [zeta n theta] the generator draws with ([0.] when [theta = 0]).
+    [create] computes it once per [(n, theta)] and reuses it. *)
+val zetan : t -> float

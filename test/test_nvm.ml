@@ -375,6 +375,53 @@ let test_cache_hits_are_cheap () =
   in
   Alcotest.(check bool) "second access is a cache hit" true (second *. 5.0 < first)
 
+(* Slot placement: a line's CPU-cache and XPBuffer slot depend on its
+   pool, so lines at equal offsets in different pools do not evict each
+   other, while any 4096 consecutive lines of one pool still fill the
+   4096-slot cache without a conflict. *)
+let second_pass_hits m reads =
+  List.iter (fun (p, off) -> ignore (Pool.read_int p off)) reads;
+  let before = Stats.snapshot (Machine.stats m) in
+  List.iter (fun (p, off) -> ignore (Pool.read_int p off)) reads;
+  (Stats.diff (Machine.stats m) before).Stats.cache_hits
+
+let make_pools m n = List.init n (fun _ -> make_pool m)
+
+let test_cache_slots_see_the_pool () =
+  List.iter
+    (fun pools ->
+      let m = make_machine () in
+      let reads =
+        List.concat_map
+          (fun p -> List.init 64 (fun line -> (p, line * 64)))
+          (make_pools m pools)
+      in
+      Alcotest.(check int)
+        (Printf.sprintf "64 lines x %d pools hit" pools)
+        (64 * pools) (second_pass_hits m reads))
+    [ 4; 8 ];
+  let m = make_machine () in
+  let p = make_pool m in
+  Alcotest.(check int) "4096 consecutive lines of one pool hit" 4096
+    (second_pass_hits m (List.init 4096 (fun line -> (p, line * 64))))
+
+let test_xpbuffer_slots_see_the_pool () =
+  (* Stride 2 keeps the prefetcher out: no miss follows its predecessor
+     XPLine. *)
+  let m = make_machine () in
+  let dev_stats = Nvm.Device.stats (Machine.device m 0) in
+  let xplines =
+    List.concat_map
+      (fun p -> List.init 8 (fun i -> (p, i * 2 * 256)))
+      (make_pools m 4)
+  in
+  List.iter (fun (p, off) -> ignore (Pool.read_int p off)) xplines;
+  let before = Stats.snapshot dev_stats in
+  List.iter (fun (p, off) -> ignore (Pool.read_int p (off + 64))) xplines;
+  let d = Stats.diff dev_stats before in
+  Alcotest.(check int) "line 1 of each XPLine: buffer hits" 32 d.Stats.buffer_hits;
+  Alcotest.(check int) "no media reads" 0 d.Stats.media_reads
+
 let test_directory_protocol_generates_writes () =
   (* FH5: under the directory protocol, remote reads write directory
      state to the media; under snoop they do not. *)
@@ -790,6 +837,10 @@ let suite =
     Alcotest.test_case "device: sequential beats random (FH3)" `Quick
       test_sequential_read_faster_than_random;
     Alcotest.test_case "machine: cpu cache hits cheap" `Quick test_cache_hits_are_cheap;
+    Alcotest.test_case "machine: cache slots see the pool" `Quick
+      test_cache_slots_see_the_pool;
+    Alcotest.test_case "device: xpbuffer slots see the pool" `Quick
+      test_xpbuffer_slots_see_the_pool;
     Alcotest.test_case "device: directory coherence writes (FH5)" `Quick
       test_directory_protocol_generates_writes;
     Alcotest.test_case "device: local reads have no dir writes" `Quick

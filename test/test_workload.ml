@@ -52,6 +52,21 @@ let test_zipf_uniform_theta0 () =
     true
     (float_of_int max_c < 2.0 *. float_of_int min_c)
 
+let test_zipf_zeta_memoised () =
+  (* The second [create] takes zeta from the memo the first filled; both
+     must draw as if each had computed it. *)
+  let n = 12_345 and theta = 0.99 in
+  let make () = Workload.Zipf.create ~n ~theta (Des.Rng.create ~seed:5L) in
+  let a = make () and b = make () in
+  let bits z = Int64.bits_of_float (Workload.Zipf.zetan z) in
+  let fresh = Int64.bits_of_float (Workload.Zipf.zeta n theta) in
+  Alcotest.(check int64) "first create = fresh zeta" fresh (bits a);
+  Alcotest.(check int64) "memoised = fresh zeta" fresh (bits b);
+  for i = 1 to 10_000 do
+    let x = Workload.Zipf.next a and y = Workload.Zipf.next b in
+    if x <> y then Alcotest.failf "draw %d differs: %d vs %d" i x y
+  done
+
 let test_keyset_unique_and_sized () =
   let seen = Hashtbl.create 1024 in
   for i = 0 to 9_999 do
@@ -262,6 +277,7 @@ let suite =
     Alcotest.test_case "zipf: skew ordering" `Quick test_zipf_skew;
     Alcotest.test_case "zipf: rank 0 hottest" `Quick test_zipf_hottest_rank_zero;
     Alcotest.test_case "zipf: theta=0 uniform" `Quick test_zipf_uniform_theta0;
+    Alcotest.test_case "zipf: memoised zeta, same draws" `Quick test_zipf_zeta_memoised;
     Alcotest.test_case "keyset: unique, right sizes" `Quick test_keyset_unique_and_sized;
     Alcotest.test_case "latency: percentiles" `Quick test_latency_percentiles;
     Alcotest.test_case "ycsb: mix ratios" `Quick test_ycsb_mix_ratios;
