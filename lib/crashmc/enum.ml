@@ -51,11 +51,11 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
     Array.iter
       (fun ev ->
         match ev with
-        | Machine.Ev_store { pool; line; _ }
-        | Machine.Ev_clwb { pool; line; _ }
-        | Machine.Ev_drain { pool; line; _ } ->
+        | Machine.Store { pool; line; _ }
+        | Machine.Clwb { pool; line; _ }
+        | Machine.Drain { pool; line; _ } ->
             Hashtbl.replace tbl (pool, line) ()
-        | Machine.Ev_fence _ -> ())
+        | Machine.Fence _ -> ())
       evs;
     let l = Hashtbl.fold (fun k () acc -> k :: acc) tbl [] in
     Array.of_list (List.sort compare l)
@@ -228,16 +228,17 @@ let iter ?(budget_per_point = 64) ?(seed = 0x5EEDL) ~trace ~f () =
   (try
      for i = 0 to n - 1 do
        match evs.(i) with
-       | Machine.Ev_store { pool; line; data } -> add_cand pool line i data
-       | Machine.Ev_clwb { tid; pool; line; data } ->
+       | Machine.Store { pool; line; data; _ } -> add_cand pool line i (Lazy.force data)
+       | Machine.Clwb { staged = None; _ } -> ()
+       | Machine.Clwb { tid; pool; line; staged = Some data } ->
            add_cand pool line i data;
            (match Hashtbl.find_opt staged tid with
            | Some r -> r := (pool, line, data, i) :: !r
            | None -> Hashtbl.add staged tid (ref [ (pool, line, data, i) ]))
-       | Machine.Ev_drain { pool; line; data } ->
+       | Machine.Drain { pool; line; data } ->
            apply_media pool line data;
            prune pool line i
-       | Machine.Ev_fence { tid } ->
+       | Machine.Fence { tid } ->
            crash_point i;
            (match Hashtbl.find_opt staged tid with
            | None -> ()

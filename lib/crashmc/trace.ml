@@ -2,12 +2,17 @@ module Machine = Nvm.Machine
 
 type t = {
   machine : Machine.t;
-  mutable events_rev : Machine.trace_event list;
+  mutable events_rev : Machine.persist_event list;
   mutable count : int;
   base : (int, Bytes.t) Hashtbl.t; (* pool id -> media image at [start] *)
-  mutable active : bool;
-  mutable cache : Machine.trace_event array option;
+  mutable listener : Machine.listener option;
+  mutable cache : Machine.persist_event array option;
 }
+
+let record t ev =
+  t.events_rev <- ev :: t.events_rev;
+  t.count <- t.count + 1;
+  t.cache <- None
 
 let start machine =
   let t =
@@ -16,7 +21,7 @@ let start machine =
       events_rev = [];
       count = 0;
       base = Hashtbl.create 8;
-      active = true;
+      listener = None;
       cache = None;
     }
   in
@@ -25,19 +30,20 @@ let start machine =
       if not pv.Machine.pv_volatile then
         Hashtbl.replace t.base pv.Machine.pv_id (pv.Machine.pv_media ()))
     (Machine.pool_views machine);
-  Machine.set_tracer machine
-    (Some
-       (fun ev ->
-         t.events_rev <- ev :: t.events_rev;
-         t.count <- t.count + 1;
-         t.cache <- None));
+  let on_event = function
+    | Machine.Clwb { staged = None; _ } -> () (* staged nothing: no crash-state effect *)
+    | Machine.Store { data; _ } as ev ->
+        (* copy the line now: the cache changes after the callback *)
+        ignore (Lazy.force data);
+        record t ev
+    | ev -> record t ev
+  in
+  t.listener <- Some (Machine.add_listener machine on_event);
   t
 
 let stop t =
-  if t.active then begin
-    Machine.set_tracer t.machine None;
-    t.active <- false
-  end
+  Option.iter (Machine.remove_listener t.machine) t.listener;
+  t.listener <- None
 
 let machine t = t.machine
 

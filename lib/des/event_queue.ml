@@ -71,4 +71,3 @@ let pop_min q =
   end;
   (top.time, top.value)
 
-let min_time q = if q.size = 0 then None else Some q.heap.(0).time

@@ -18,6 +18,3 @@ val add : 'a t -> time:float -> 'a -> unit
 (** [pop_min q] removes and returns the earliest event as
     [(time, value)].  Raises [Not_found] if the queue is empty. *)
 val pop_min : 'a t -> float * 'a
-
-(** [min_time q] is the time of the earliest event, if any. *)
-val min_time : 'a t -> float option

@@ -91,24 +91,14 @@ let abort_all t =
   done;
   t.live <- (if t.current = None then 0 else 1)
 
-let debug_progress =
-  match Sys.getenv_opt "DES_DEBUG" with Some _ -> true | None -> false
-
 let run t =
   let saved = !active in
   active := Some t;
   let finish () = active := saved in
-  let events = ref 0 in
   (try
      while not (Event_queue.is_empty t.events) do
        let time, action = Event_queue.pop_min t.events in
        t.clock <- max t.clock time;
-       if debug_progress then begin
-         incr events;
-         if !events land 0xFFFFF = 0 then
-           Printf.eprintf "[des] %dM events, sim %.3f ms, queue %d\n%!" (!events / 1_000_000)
-             (t.clock *. 1e3) (Event_queue.length t.events)
-       end;
        action ()
      done
    with exn ->

@@ -176,10 +176,6 @@ let write t ~now ~xpline ~bytes ~from_numa =
   let accepted = write_done -. cost +. p.Config.write_latency +. remote in
   (accepted, completed)
 
-let dram_access t ~now ~bytes =
-  let p = t.profile in
-  now +. p.Config.dram_latency +. (float_of_int bytes *. 0.01e-9)
-
 let reset_buffers t =
   Array.fill t.read_buf 0 (Array.length t.read_buf) (-1);
   Array.fill t.channels 0 (Array.length t.channels) 0.0;

@@ -44,9 +44,5 @@ val read : t -> now:float -> xpline:int -> from_numa:int -> float
     the media transfer finishes (channel occupancy / bandwidth). *)
 val write : t -> now:float -> xpline:int -> bytes:int -> from_numa:int -> float * float
 
-(** [dram_access t ~now ~bytes] models a volatile (DRAM) memory access
-    on this NUMA domain; no persistence, no directory traffic. *)
-val dram_access : t -> now:float -> bytes:int -> float
-
 (** Drop buffered XPLines and coherence state (used on crash). *)
 val reset_buffers : t -> unit

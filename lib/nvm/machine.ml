@@ -7,16 +7,13 @@ type staged = {
   apply : unit -> unit;
 }
 
-type trace_event =
-  | Ev_store of { pool : int; line : int; data : string }
-  | Ev_clwb of { tid : int; pool : int; line : int; data : string }
-  | Ev_fence of { tid : int }
-  | Ev_drain of { pool : int; line : int; data : string }
-
 type persist_event =
-  | Pe_store of { tid : int; pool : int; line : int }
-  | Pe_clwb of { tid : int; pool : int; line : int }
-  | Pe_fence of { tid : int }
+  | Store of { tid : int; pool : int; line : int; data : string Lazy.t }
+  | Clwb of { tid : int; pool : int; line : int; staged : string option }
+  | Fence of { tid : int }
+  | Drain of { pool : int; line : int; data : string }
+
+type listener = { on_event : persist_event -> unit }
 
 type pool_view = {
   pv_id : int;
@@ -37,8 +34,7 @@ type t = {
   stats : Stats.t;
   mutable next_pool_id : int;
   mutable crash_hooks : (crash_mode -> unit) list;
-  mutable tracer : (trace_event -> unit) option;
-  mutable persist_observer : (persist_event -> unit) option;
+  mutable listeners : listener list; (* in registration order *)
   mutable pool_views : pool_view list; (* reversed creation order *)
   mutable flush_fault : int option; (* drop the k-th clwb since set *)
   mutable flush_seen : int;
@@ -59,8 +55,7 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
     stats = Stats.create ();
     next_pool_id = 0;
     crash_hooks = [];
-    tracer = None;
-    persist_observer = None;
+    listeners = [];
     pool_views = [];
     flush_fault = None;
     flush_seen = 0;
@@ -70,13 +65,16 @@ let create ?(profile = Config.dcpmm) ?(protocol = Config.Snoop) ~numa_count () =
 
 let set_wait_observer t f = t.wait_observer <- f
 
-let set_tracer t f = t.tracer <- f
+let add_listener t on_event =
+  let l = { on_event } in
+  t.listeners <- t.listeners @ [ l ];
+  l
 
-let tracer t = t.tracer
+let remove_listener t l = t.listeners <- List.filter (fun l' -> l' != l) t.listeners
 
-let set_persist_observer t f = t.persist_observer <- f
+let listening t = match t.listeners with [] -> false | _ :: _ -> true
 
-let persist_observer t = t.persist_observer
+let emit t ev = List.iter (fun l -> l.on_event ev) t.listeners
 
 let register_pool_view t pv = t.pool_views <- pv :: t.pool_views
 
@@ -174,12 +172,7 @@ let fence t =
   t.stats.Stats.fences <- t.stats.Stats.fences + 1;
   Des.Sched.charge t.profile.Config.fence_base_cost;
   let tid = Des.Sched.current_id () in
-  (match t.tracer with
-  | Some emit -> emit (Ev_fence { tid })
-  | None -> ());
-  (match t.persist_observer with
-  | Some emit -> emit (Pe_fence { tid })
-  | None -> ());
+  if listening t then emit t (Fence { tid });
   match Hashtbl.find_opt t.staged tid with
   | None -> ()
   | Some r ->

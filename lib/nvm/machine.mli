@@ -65,49 +65,46 @@ val stage : t -> staged -> unit
 (** Register a callback run by {!crash}. *)
 val on_crash : t -> (crash_mode -> unit) -> unit
 
-(** {2 Persist tracing (crash-state model checking)}
+(** {2 Persist events (crash-state model checking, sanitizer)}
 
-    When a tracer is installed, every program-visible persistence
-    event is reported with enough data to replay the ADR state
-    machine offline: stores carry the post-store content of the whole
-    64B line, [clwb]s the staged snapshot, fences the staging thread.
-    [lib/crashmc] enumerates, from such a trace, every crash image
-    consistent with ADR semantics (fenced lines must survive; dirty or
-    flushed-but-unfenced lines each survive with any of their
-    snapshots). *)
-
-type trace_event =
-  | Ev_store of { pool : int; line : int; data : string }
-      (** post-store content of the full 64B line *)
-  | Ev_clwb of { tid : int; pool : int; line : int; data : string }
-      (** line snapshot staged by thread [tid]; durable at its next fence *)
-  | Ev_fence of { tid : int }
-      (** applies [tid]'s staged snapshots to the media *)
-  | Ev_drain of { pool : int; line : int; data : string }
-      (** eADR background drain: durable immediately *)
-
-val set_tracer : t -> (trace_event -> unit) option -> unit
-
-val tracer : t -> (trace_event -> unit) option
-
-(** {2 Persist observation (lightweight, for the pobj sanitizer)}
-
-    A second, independent hook: unlike the crashmc tracer it carries
-    no line data (cheap enough to leave on during benchmarks) and
-    stores carry the storing thread.  [Pe_clwb] is emitted for every
-    {e effective} clwb — including ones elided by flush tracking
-    (whose persistence obligation is already met) — but {e not} for
-    clwbs dropped by {!set_flush_fault}, which model a missing call.
-    eADR machines emit no [Pe_fence] (there is nothing to order). *)
+    Listeners see every program-visible persistence event on the
+    machine's non-volatile pools, each emitted once, in program order:
+    enough to replay the ADR state machine offline ([lib/crashmc]) or
+    to lint persist order as it happens ({!Pobj.Sanitizer}).  With no
+    listener no event is built.  Events never touch the simulated
+    clock. *)
 
 type persist_event =
-  | Pe_store of { tid : int; pool : int; line : int }
-  | Pe_clwb of { tid : int; pool : int; line : int }
-  | Pe_fence of { tid : int }
+  | Store of { tid : int; pool : int; line : int; data : string Lazy.t }
+      (** thread [tid] stored into the line; [data] is the post-store
+          content of the full 64B line, read when forced — so only
+          valid if forced inside the callback *)
+  | Clwb of { tid : int; pool : int; line : int; staged : string option }
+      (** an effective clwb by [tid], with the snapshot it staged
+          (durable at [tid]'s next fence), or [None] when it staged
+          nothing: elided by flush tracking (its persistence
+          obligation is already met) or on eADR.  A clwb dropped by
+          {!set_flush_fault} models a missing call and emits nothing. *)
+  | Fence of { tid : int }
+      (** applies [tid]'s staged snapshots to the media; eADR machines
+          emit none (there is nothing to order) *)
+  | Drain of { pool : int; line : int; data : string }
+      (** eADR background drain: [data] is durable immediately *)
 
-val set_persist_observer : t -> (persist_event -> unit) option -> unit
+type listener
 
-val persist_observer : t -> (persist_event -> unit) option
+(** [add_listener t f] calls [f] on every later event, after the
+    listeners added before it. *)
+val add_listener : t -> (persist_event -> unit) -> listener
+
+val remove_listener : t -> listener -> unit
+
+(** [true] iff a listener is attached (used by {!Pool} to build no
+    event otherwise). *)
+val listening : t -> bool
+
+(** Deliver an event to every listener (used by {!Pool}). *)
+val emit : t -> persist_event -> unit
 
 (** A type-cycle-free handle on a pool (Pool depends on Machine), used
     by crashmc to snapshot and re-materialize media images. *)

@@ -236,8 +236,6 @@ let numa t = t.numa
 
 let capacity t = t.capacity
 
-let is_volatile t = t.volatile
-
 let machine t = t.machine
 
 (* Machine-wide line / XPLine ids: the pool's machine-local index in
@@ -309,42 +307,17 @@ let touch_range_write t off len =
       if Hashtbl.length t.staged_by > 0 then Hashtbl.remove t.staged_by line
     done
 
-(* Report the post-store content of every line under [off, off+len) to
-   the machine's tracer (no-op unless crashmc is recording). *)
-let trace_store t off len =
-  match Machine.tracer t.machine with
-  | None -> ()
-  | Some emit ->
-      if not t.volatile && len > 0 then begin
-        let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-        for line = first to last do
-          emit
-            (Machine.Ev_store
-               {
-                 pool = t.id;
-                 line;
-                 data = line_string t.cache line;
-               })
-        done
-      end
-
-(* Report stores to the (cheap) persist observer — the hook behind the
-   pobj persist-order sanitizer. *)
-let observe_store t off len =
-  match Machine.persist_observer t.machine with
-  | None -> ()
-  | Some emit ->
-      if (not t.volatile) && len > 0 then begin
-        let tid = Des.Sched.current_id () in
-        let first = off lsr 6 and last = (off + len - 1) lsr 6 in
-        for line = first to last do
-          emit (Machine.Pe_store { tid; pool = t.id; line })
-        done
-      end
-
+(* Report a store to every line under [off, off+len) to the machine's
+   persist-event listeners.  A line's content is copied only if a
+   listener forces it. *)
 let record_store t off len =
-  trace_store t off len;
-  observe_store t off len
+  if Machine.listening t.machine && (not t.volatile) && len > 0 then begin
+    let tid = Des.Sched.current_id () in
+    for line = off lsr 6 to (off + len - 1) lsr 6 do
+      Machine.emit t.machine
+        (Machine.Store { tid; pool = t.id; line; data = lazy (line_string t.cache line) })
+    done
+  end
 
 let read_u8 t off =
   touch_range t off 1;
@@ -457,22 +430,21 @@ let eadr_drain t off =
   let line = off lsr 6 in
   persist_line t (line_page t.cache line) (line_pos line) line;
   clear_dirty t line;
-  match Machine.tracer t.machine with
-  | Some emit ->
-      emit
-        (Machine.Ev_drain
-           {
-             pool = t.id;
-             line;
-             data = line_string t.media line;
-           })
-  | None -> ()
+  if Machine.listening t.machine then
+    Machine.emit t.machine (Machine.Drain { pool = t.id; line; data = line_string t.media line })
 
-let observe_clwb t line =
-  match Machine.persist_observer t.machine with
-  | Some emit ->
-      emit (Machine.Pe_clwb { tid = Des.Sched.current_id (); pool = t.id; line })
-  | None -> ()
+(* Report an effective clwb to the listeners, with the snapshot it
+   staged (none when elided, or on eADR). *)
+let record_clwb t line snapshot =
+  if Machine.listening t.machine then
+    Machine.emit t.machine
+      (Machine.Clwb
+         {
+           tid = Des.Sched.current_id ();
+           pool = t.id;
+           line;
+           staged = Option.map Bytes.to_string snapshot;
+         })
 
 (* FliT-style flush tracking: a clwb is redundant when the line is
    already clean on media (cache == media), or when the calling thread
@@ -486,9 +458,9 @@ let observe_clwb t line =
    the machine's [flush_elision] switch (off by default, keeping the
    schedule bit-identical to a tracking-free build).  Elided clwbs
    still satisfy the persistence obligation, so they are reported to
-   the persist observer; faulted (dropped) clwbs are not — they model
-   a missing call.  The fault counter ticks only for executed clwbs so
-   mutation indices keep targeting real flushes. *)
+   the listeners (with no snapshot); faulted (dropped) clwbs are not —
+   they model a missing call.  The fault counter ticks only for
+   executed clwbs so mutation indices keep targeting real flushes. *)
 let clwb t off =
   if (Machine.profile t.machine).Config.eadr then begin
     if not t.volatile then begin
@@ -500,7 +472,7 @@ let clwb t off =
       end;
       if redundant && Machine.flush_elision t.machine then clear_dirty t line
       else eadr_drain t off;
-      observe_clwb t line
+      record_clwb t line None
     end
   end
   else if not t.volatile then begin
@@ -520,7 +492,7 @@ let clwb t off =
          invalidates whether or not the line was dirty), so the CPU
          and cache-side timing stays comparable to an unelided run. *)
       Des.Sched.charge (Machine.profile t.machine).Config.clwb_cpu_cost;
-      observe_clwb t line;
+      record_clwb t line None;
       Machine.cache_invalidate t.machine (gline t off)
     end
     else if not (Machine.flush_faulted t.machine) then begin
@@ -546,18 +518,7 @@ let clwb t off =
       Machine.stage t.machine
         { Machine.pool_id = t.id; dev = t.dev; xpline = g lsr 2; apply };
       Hashtbl.replace t.staged_by line tid;
-      (match Machine.tracer t.machine with
-      | Some emit ->
-          emit
-            (Machine.Ev_clwb
-               {
-                 tid;
-                 pool = t.id;
-                 line;
-                 data = Bytes.to_string snapshot;
-               })
-      | None -> ());
-      observe_clwb t line;
+      record_clwb t line (Some snapshot);
       (* Current-generation clwb invalidates the line (FH4). *)
       Machine.cache_invalidate t.machine g
     end

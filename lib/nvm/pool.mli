@@ -39,8 +39,6 @@ val numa : t -> int
 
 val capacity : t -> int
 
-val is_volatile : t -> bool
-
 val machine : t -> Machine.t
 
 (** {2 Typed access (little-endian)}

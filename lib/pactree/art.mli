@@ -82,9 +82,3 @@ val cardinal : t -> int
     descent for the given radix key visits, root first (test helper;
     no concurrency control). *)
 val node_path : t -> string -> int list
-
-(** Leaf-depth histogram (test helper). *)
-val depth_histogram : t -> (int, int) Hashtbl.t
-
-(** Waits for pending-log capacity (instrumentation). *)
-val pending_waits : int ref

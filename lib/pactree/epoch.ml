@@ -27,10 +27,7 @@ let run_ripe t =
   t.deferred <- fresh;
   List.iter (fun (_, f) -> f ()) (List.rev ripe)
 
-let attempts = ref 0
-
 let try_advance t =
-  incr attempts;
   if all_caught_up t then begin
     t.epoch <- t.epoch + 1;
     run_ripe t
@@ -56,11 +53,6 @@ let exit t =
   end
 
 let defer t f = t.deferred <- (t.epoch, f) :: t.deferred
-
-(* debug: description of the calling thread's pin state *)
-let debug_state t =
-  let ts = state t in
-  Printf.sprintf "epoch=%d local=%d depth=%d" t.epoch ts.local ts.depth
 
 (* Temporarily release the calling thread's pin so the epoch can
    advance past it (e.g. while waiting for deferred frees to release

@@ -37,9 +37,3 @@ val pending : t -> int
 
 (** Current epoch number (for tests). *)
 val current : t -> int
-
-(** Total advancement attempts (instrumentation). *)
-val attempts : int ref
-
-(** Debug: "epoch/local/depth" of the calling thread. *)
-val debug_state : t -> string

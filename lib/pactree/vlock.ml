@@ -36,30 +36,17 @@ let is_obsolete version = version land obsolete_bit <> 0
 
 let read_version h ~gen = effective (Pobj.read_int h 0) ~gen
 
-(* instrumentation: total spin iterations across all locks *)
-let spins = ref 0
-
 (* Exponential backoff up to ~80us: under device saturation a lock
    can be held across millisecond-long fences, and fine-grained
    spinning would flood the event queue. *)
 let backoff attempt =
-  incr spins;
   let capped = min attempt 11 in
   Des.Sched.delay (40e-9 *. float_of_int (1 lsl capped))
-
-let debug = Sys.getenv_opt "DES_DEBUG" <> None
-
-let stuck h ~gen attempt who =
-  if debug && attempt > 0 && attempt mod 500 = 0 then
-    Printf.eprintf "[vlock] thread %d stuck in %s on %s+%d word=%#x gen=%d (%d spins)\n%!"
-      (Des.Sched.current_id ()) who (Pool.name h.pool) h.off
-      (Pobj.read_int h 0) gen attempt
 
 let begin_read h ~gen =
   let rec go attempt =
     let v = read_version h ~gen in
     if is_locked v then begin
-      stuck h ~gen attempt "begin_read";
       backoff attempt;
       go (attempt + 1)
     end
@@ -75,16 +62,13 @@ let try_upgrade h ~gen ~version =
   &&
   let raw = Pobj.read_int h 0 in
   effective raw ~gen = version
-  &&
-  (if debug then Pmalloc.Heap.check_not_freed ~who:"try_upgrade" (Pool.id h.pool) h.off;
-   Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1)))
+  && Pobj.transient_cas h 0 ~expected:raw (word ~gen ~version:(version + 1))
 
 let acquire h ~gen =
   let rec go attempt =
     let v = read_version h ~gen in
     if (not (is_locked v)) && try_upgrade h ~gen ~version:v then v + 1
     else begin
-      stuck h ~gen attempt "acquire";
       backoff attempt;
       go (attempt + 1)
     end

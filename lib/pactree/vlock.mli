@@ -49,6 +49,3 @@ val release : handle -> gen:int -> version:int -> unit
 
 (** Release and mark the node obsolete (retired by CoW). *)
 val release_obsolete : handle -> gen:int -> version:int -> unit
-
-(** Total backoff iterations (instrumentation). *)
-val spins : int ref

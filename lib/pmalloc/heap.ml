@@ -140,25 +140,6 @@ let pick_pool t = function
   | Some numa -> t.pools.(numa mod Array.length t.pools)
   | None -> t.pools.(Des.Sched.current_numa () mod Array.length t.pools)
 
-let debug_heap = Sys.getenv_opt "DES_DEBUG" <> None
-
-(* Debug: currently-free blocks as (pool_id, class, block_off). *)
-let freed_blocks : (int * int, int) Hashtbl.t = Hashtbl.create 4096
-
-let note_freed pool_id off cls = Hashtbl.replace freed_blocks (pool_id, off) cls
-
-let note_allocated pool_id off = Hashtbl.remove freed_blocks (pool_id, off)
-
-let check_not_freed ~who pool_id off =
-  if debug_heap then
-    Hashtbl.iter
-      (fun (pid, boff) cls ->
-        if pid = pool_id && off >= boff && off < boff + class_sizes.(cls) then
-          Printf.eprintf "[heap] thread %d: %s touches FREED block (pool %d, block %d, off %d)\n%s\n%!"
-            (Des.Sched.current_id ()) who pid boff off
-            (Printexc.raw_backtrace_to_string (Printexc.get_callstack 25)))
-      freed_blocks
-
 let out_of_memory pool =
   failwith (Printf.sprintf "Heap: pool %s exhausted" (Pool.name pool))
 
@@ -177,15 +158,6 @@ let pmdk_alloc ps ~dest size =
   let cls = class_of size in
   let csize = class_sizes.(cls) in
   let head = Pobj.read_int hd (head_off cls) in
-  (if debug_heap && head <> Pptr.null then
-     let next = Pobj.read_int hd (Pptr.off head) in
-     if next <> Pptr.null
-        && (Pptr.off next + 8 > Pool.capacity ps.pool || Pptr.off next land 7 <> 0
-           || Pptr.pool next <> Pool.id ps.pool)
-     then
-       failwith
-         (Printf.sprintf "Heap: freelist of %s corrupt at %d: next=%#x"
-            (Pool.name ps.pool) (Pptr.off head) next));
   let block_off, lkind, lold =
     if head <> Pptr.null then (Pptr.off head, l_freelist, head)
     else begin
@@ -196,7 +168,6 @@ let pmdk_alloc ps ~dest size =
     end
   in
   let block_ptr = Pptr.make ~pool:(Pool.id ps.pool) ~off:block_off in
-  if debug_heap then note_allocated (Pool.id ps.pool) block_off;
   (* 1. Undo/redo log entry (one line), persisted first. *)
   Pobj.set_int hd f_lclass cls;
   Pobj.set_int hd f_lblock block_ptr;
@@ -234,22 +205,6 @@ let pmdk_free ps ptr =
   let hd = ps.hd in
   Des.Sync.Mutex.with_lock ps.mutex @@ fun () ->
   let block_off = Pptr.off ptr in
-  if debug_heap then begin
-    (* double-free detection: walk the class freelist *)
-    let cls = Pobj.read_int hd (block_off - 8) in
-    if cls >= 0 && cls < Array.length class_sizes then begin
-      let rec walk node n =
-        if node <> Pptr.null && n < 1_000_000 then begin
-          if Pptr.off node = block_off then
-            failwith
-              (Printf.sprintf "Heap: DOUBLE FREE of %s+%d by thread %d"
-                 (Pool.name ps.pool) block_off (Des.Sched.current_id ()));
-          walk (Pobj.read_int hd (Pptr.off node)) (n + 1)
-        end
-      in
-      walk (Pobj.read_int hd (head_off cls)) 0
-    end
-  end;
   let cls = Pobj.read_int hd (block_off - 8) in
   assert (cls >= 0 && cls < Array.length class_sizes);
   let head = Pobj.read_int hd (head_off cls) in
@@ -266,8 +221,7 @@ let pmdk_free ps ptr =
   Pobj.write_int hd (head_off cls) ptr;
   Pobj.persist hd (head_off cls) 8;
   Pobj.set_int hd f_lstate l_none;
-  Pobj.persist_field hd f_lstate;
-  if debug_heap then note_freed (Pool.id ps.pool) block_off cls
+  Pobj.persist_field hd f_lstate
 
 let volatile_alloc ps ~dest size =
   let p = ps.pool in

@@ -79,7 +79,3 @@ val recover : t -> unit
 
 (** Bytes still allocatable in the pool for [numa]. *)
 val remaining : t -> numa:int -> int
-
-(** Debug (env [DES_DEBUG]): report if [off] lies within a
-    currently-free block of pool [pool_id]. *)
-val check_not_freed : who:string -> int -> int -> unit

@@ -7,7 +7,8 @@ module Machine = Nvm.Machine
    owner with the obligation still open is a persist-order hazard —
    exactly the pattern behind missing-flush crash bugs.  eADR machines
    emit no fence events, so the sanitizer is naturally silent there
-   (stores are already durable). *)
+   (stores are already durable).  Store contents and staged snapshots
+   are never read. *)
 
 type report = {
   r_pool : int;
@@ -21,6 +22,7 @@ type pending = { p_tid : int; p_stack : string option }
 
 type state = {
   machine : Machine.t;
+  mutable listener : Machine.listener option;
   owner : (int * int, pending) Hashtbl.t; (* (pool, line) -> last storer *)
   by_tid : (int, (int * int, unit) Hashtbl.t) Hashtbl.t;
   suppress : (int, int) Hashtbl.t; (* tid -> depth *)
@@ -53,7 +55,7 @@ let drop_pending st key =
       | None -> ())
 
 let on_event st = function
-  | Machine.Pe_store { tid; pool; line } ->
+  | Machine.Store { tid; pool; line; _ } ->
       if not (suppressed st tid) then begin
         let key = (pool, line) in
         (match Hashtbl.find_opt st.owner key with
@@ -65,8 +67,9 @@ let on_event st = function
         Hashtbl.replace st.owner key { p_tid = tid; p_stack = Obs.Span.current_stack () };
         Hashtbl.replace (tid_set st tid) key ()
       end
-  | Machine.Pe_clwb { pool; line; _ } -> drop_pending st (pool, line)
-  | Machine.Pe_fence { tid } -> (
+  | Machine.Clwb { pool; line; _ } -> drop_pending st (pool, line)
+  | Machine.Drain _ -> ()
+  | Machine.Fence { tid } -> (
       match Hashtbl.find_opt st.by_tid tid with
       | None -> ()
       | Some s ->
@@ -85,28 +88,27 @@ let on_event st = function
             flagged;
           Hashtbl.reset s)
 
+let detach st =
+  Option.iter (Machine.remove_listener st.machine) st.listener;
+  current := None
+
 let enable machine =
-  (match !current with
-  | Some st -> Machine.set_persist_observer st.machine None
-  | None -> ());
+  Option.iter detach !current;
   let st =
     {
       machine;
+      listener = None;
       owner = Hashtbl.create 1024;
       by_tid = Hashtbl.create 64;
       suppress = Hashtbl.create 64;
       found = Hashtbl.create 64;
     }
   in
-  current := Some st;
-  Machine.set_persist_observer machine (Some (on_event st))
+  st.listener <- Some (Machine.add_listener machine (on_event st));
+  current := Some st
 
 let disable machine =
-  match !current with
-  | Some st when st.machine == machine ->
-      Machine.set_persist_observer machine None;
-      current := None
-  | _ -> ()
+  match !current with Some st when st.machine == machine -> detach st | _ -> ()
 
 let clear () =
   match !current with

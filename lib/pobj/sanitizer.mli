@@ -25,8 +25,9 @@ type report = {
 }
 
 (** Install on a machine (replacing any previous sanitizer), with
-    empty state.  Uses {!Nvm.Machine.set_persist_observer}; only one
-    sanitizer is active process-wide. *)
+    empty state: a persist-event listener ({!Nvm.Machine.add_listener})
+    that coexists with the machine's other listeners, e.g. a crashmc
+    trace.  Only one sanitizer is active process-wide. *)
 val enable : Nvm.Machine.t -> unit
 
 (** Uninstall if [machine] is the active one. *)

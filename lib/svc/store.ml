@@ -67,8 +67,6 @@ let shard_count t = Array.length t.shards
 
 let shard_numa t i = t.shards.(i).s_numa
 
-let shard_index t i = t.shards.(i).s_backend.b_index
-
 let checkpoint_fences t =
   Array.fold_left (fun acc s -> acc + s.s_ckpt_fences) 0 t.shards
 

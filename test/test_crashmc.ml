@@ -123,6 +123,77 @@ let test_oracle_prefix_only () =
       ("unreachable value rejected", [ (kc, 7); (ka, 99) ]);
     ]
 
+(* A crashmc trace and the persist-order sanitizer listen to one
+   machine at once, as in [pactree_bench crashmc --mutate]. *)
+let test_two_listeners () =
+  let module Machine = Nvm.Machine in
+  let module Pool = Nvm.Pool in
+  let module Sanitizer = Pobj.Sanitizer in
+  let m = Machine.create ~numa_count:1 () in
+  let p = Pool.create m ~name:"two-listeners" ~numa:0 ~capacity:4096 () in
+  let tid = ref (-1) in
+  let on_thread f =
+    let sched = Des.Sched.create () in
+    (* an idle first thread, so the worker's id is not the default 0 *)
+    Des.Sched.spawn sched ~name:"idle" ignore;
+    Des.Sched.spawn sched ~name:"worker" (fun () ->
+        tid := Des.Sched.current_id ();
+        f ());
+    Des.Sched.run sched
+  in
+  let trace = Crashmc.Trace.start m in
+  Sanitizer.enable m;
+  on_thread (fun () ->
+      (* line 0: store -> clwb -> fence; line 2: store -> fence *)
+      Pool.write_int p 0 42;
+      Pool.clwb p 0;
+      Pool.fence p;
+      Pool.write_int p 128 7;
+      Pool.fence p);
+  let describe = function
+    | Machine.Store { tid; line; data; _ } ->
+        Printf.sprintf "store t%d L%d %d" tid line
+          (Int64.to_int (String.get_int64_le (Lazy.force data) 0))
+    | Machine.Clwb { tid; line; staged; _ } ->
+        Printf.sprintf "clwb t%d L%d %b" tid line (staged <> None)
+    | Machine.Fence { tid } -> Printf.sprintf "fence t%d" tid
+    | Machine.Drain { line; _ } -> Printf.sprintf "drain L%d" line
+  in
+  let t = !tid in
+  Alcotest.(check int) "worker thread id" 1 t;
+  Alcotest.(check (list string))
+    "trace: both sequences, stores name their thread"
+    [
+      Printf.sprintf "store t%d L0 42" t;
+      Printf.sprintf "clwb t%d L0 true" t;
+      Printf.sprintf "fence t%d" t;
+      Printf.sprintf "store t%d L2 7" t;
+      Printf.sprintf "fence t%d" t;
+    ]
+    (Array.to_list (Array.map describe (Crashmc.Trace.events trace)));
+  let flagged () =
+    List.map (fun r -> (r.Sanitizer.r_line, r.Sanitizer.r_tid)) (Sanitizer.reports ())
+  in
+  Alcotest.(check (list (pair int int))) "sanitizer: only the unflushed line" [ (2, t) ]
+    (flagged ());
+  (* Detach the trace: the sanitizer still hears the machine. *)
+  Crashmc.Trace.stop trace;
+  on_thread (fun () ->
+      Pool.write_int p 256 1;
+      Pool.fence p);
+  Alcotest.(check int) "stopped trace records nothing" 5 (Crashmc.Trace.seq trace);
+  Alcotest.(check (list (pair int int))) "sanitizer still listening" [ (2, t); (4, t) ]
+    (List.sort compare (flagged ()));
+  (* And the other way round. *)
+  Sanitizer.disable m;
+  let trace = Crashmc.Trace.start m in
+  on_thread (fun () ->
+      Pool.write_int p 320 1;
+      Pool.fence p);
+  Crashmc.Trace.stop trace;
+  Alcotest.(check int) "trace still listening" 2 (Crashmc.Trace.seq trace);
+  Alcotest.(check bool) "sanitizer detached" false (Sanitizer.active ())
+
 let suite =
   [
     Alcotest.test_case "oracle: joint in-order-prefix check" `Quick
@@ -134,4 +205,5 @@ let suite =
       (test_mutation_teeth System.Fastfair);
     Alcotest.test_case "mutation teeth (pactree)" `Quick
       (test_mutation_teeth System.Pactree);
+    Alcotest.test_case "trace and sanitizer share a machine" `Quick test_two_listeners;
   ]
